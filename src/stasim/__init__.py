@@ -18,7 +18,7 @@ from stasim.arith import (
     wrap_mul,
     wrap_signed,
 )
-from stasim.array import ArrayConfig, FaultSite, RegClass, TensorArray, TpeState
+from stasim.array import ArrayConfig, FaultSite, RegClass, RegSpec, TensorArray, TpeState
 from stasim.campaign import (
     CoverageReport,
     enumerate_faults,
@@ -65,6 +65,7 @@ __all__ = [
     "GoldenReference",
     "Layer",
     "RegClass",
+    "RegSpec",
     "SparseBlock",
     "SparseWeightTile",
     "TensorArray",

@@ -2,9 +2,9 @@
 
 Every register and datapath value in the simulator is a fixed-width
 two's-complement integer.  This module defines the scalar ``Word`` type plus
-the wrap/force primitives; the array core applies the same semantics to whole
-register files at once through the polymorphic helpers below, which accept
-plain ints and numpy integer arrays alike.
+the wrap/force primitives; the polymorphic helpers accept plain ints and
+numpy integer arrays alike.  The array core applies the same stuck-at
+semantics to whole register files as AND/OR masks.
 """
 
 from __future__ import annotations

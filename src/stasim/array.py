@@ -22,12 +22,13 @@ cycle ``x + R + j``.  A full stream of X input rows therefore takes
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
-from stasim.arith import Word, force_signed, force_unsigned, wrap_signed
+from stasim.arith import Word, wrap_signed
 from stasim.sparsity import SparseWeightTile
 
 
@@ -39,6 +40,20 @@ class RegClass(str, Enum):
     WEIGHT_INDEX = "weight_index"
     OUTPUT = "output"
     EDGE_ACCUMULATOR = "edge_accumulator"
+
+
+@dataclass(frozen=True)
+class RegSpec:
+    """Shape and width of one register class's register file.
+
+    ``shape`` is (rows, cols, elements).  Edge accumulators sit below the
+    array as a single row, so theirs is (1, cols, 1).  Signed classes hold
+    two's-complement words; unsigned ones (position indexes) bit patterns.
+    """
+
+    shape: tuple[int, int, int]
+    width: int
+    signed: bool
 
 
 @dataclass(frozen=True)
@@ -102,14 +117,17 @@ class ArrayConfig:
     def tile_shape(self) -> tuple[int, int]:
         return (self.block_rows, self.cols)
 
-
-_REG_DIMS = {
-    RegClass.ACTIVATION: "m",
-    RegClass.WEIGHT: "n",
-    RegClass.WEIGHT_INDEX: "n",
-    RegClass.OUTPUT: None,
-    RegClass.EDGE_ACCUMULATOR: None,
-}
+    @cached_property
+    def reg_specs(self) -> dict[RegClass, RegSpec]:
+        """Every faultable register class, in fault-enumeration order."""
+        r, c = self.rows, self.cols
+        return {
+            RegClass.ACTIVATION: RegSpec((r, c, self.m), self.data_width, True),
+            RegClass.WEIGHT: RegSpec((r, c, self.n), self.data_width, True),
+            RegClass.WEIGHT_INDEX: RegSpec((r, c, self.n), self.index_width, False),
+            RegClass.OUTPUT: RegSpec((r, c, 1), self.acc_width, True),
+            RegClass.EDGE_ACCUMULATOR: RegSpec((1, c, 1), self.acc_width, True),
+        }
 
 
 @dataclass(frozen=True)
@@ -132,37 +150,17 @@ class FaultSite:
     def validate(self, config: ArrayConfig) -> None:
         if self.stuck not in (0, 1):
             raise ValueError(f"stuck polarity must be 0 or 1, got {self.stuck}")
-        if not 0 <= self.col < config.cols:
-            raise ValueError(f"column {self.col} outside 0..{config.cols - 1}")
-        if self.reg_class is RegClass.EDGE_ACCUMULATOR:
-            if self.row != 0:
-                raise ValueError("edge accumulator faults are addressed by column; row must be 0")
-        elif not 0 <= self.row < config.rows:
-            raise ValueError(f"row {self.row} outside 0..{config.rows - 1}")
-        counts = {
-            RegClass.ACTIVATION: config.m,
-            RegClass.WEIGHT: config.n,
-            RegClass.WEIGHT_INDEX: config.n,
-            RegClass.OUTPUT: 1,
-            RegClass.EDGE_ACCUMULATOR: 1,
-        }
-        widths = {
-            RegClass.ACTIVATION: config.data_width,
-            RegClass.WEIGHT: config.data_width,
-            RegClass.WEIGHT_INDEX: config.index_width,
-            RegClass.OUTPUT: config.acc_width,
-            RegClass.EDGE_ACCUMULATOR: config.acc_width,
-        }
-        if not 0 <= self.element < counts[self.reg_class]:
-            raise ValueError(
-                f"element {self.element} invalid for {self.reg_class.value} "
-                f"(limit {counts[self.reg_class]})"
-            )
-        if not 0 <= self.bit < widths[self.reg_class]:
-            raise ValueError(
-                f"bit {self.bit} invalid for {self.reg_class.value} "
-                f"(width {widths[self.reg_class]})"
-            )
+        spec = config.reg_specs[self.reg_class]
+        for name, value, limit in zip(
+            ("row", "col", "element", "bit"),
+            (self.row, self.col, self.element, self.bit),
+            spec.shape + (spec.width,),
+        ):
+            if not 0 <= value < limit:
+                raise ValueError(
+                    f"{name} {value} outside 0..{limit - 1} "
+                    f"for {self.reg_class.value}"
+                )
 
     def spec(self) -> str:
         """Compact ``class:row:col:element:bit:stuck`` form."""
@@ -196,20 +194,19 @@ class TensorArray:
     def __init__(self, config: ArrayConfig):
         self.config = config
         r, c, m, n = config.rows, config.cols, config.m, config.n
-        self._act = np.zeros((r, c, m), dtype=np.int64)
-        self._wgt = np.zeros((r, c, n), dtype=np.int64)
-        self._idx = np.zeros((r, c, n), dtype=np.int64)
-        self._out = np.zeros((r, c), dtype=np.int64)
-        self._edge = np.zeros(c, dtype=np.int64)
+        # Stored register files, one (rows, cols, elements) array per class.
+        self._regs = {
+            cls: np.zeros(spec.shape, dtype=np.int64)
+            for cls, spec in config.reg_specs.items()
+        }
         # Selection pattern the self-test override forces: column j picks
         # activation element j mod m, in every slot of every row.
         pattern = (np.arange(c, dtype=np.int64) % m)[None, :, None]
         self._forced_sel = np.broadcast_to(pattern, (r, c, n)).copy()
         self._sel_can_overflow = (1 << config.index_width) > m
         self._faults: list[FaultSite] = []
-        self._faults_by_class: dict[RegClass, list[FaultSite]] = {
-            cls: [] for cls in RegClass
-        }
+        # Per faulted class, (and_mask, or_mask) applied on every read.
+        self._masks: dict[RegClass, tuple[np.ndarray, np.ndarray]] = {}
         self.weights_loaded = False
         self.cycles = 0
 
@@ -220,52 +217,48 @@ class TensorArray:
         return tuple(self._faults)
 
     def inject(self, fault: FaultSite) -> None:
+        """Add a stuck-at fault; a bit cannot be stuck at both polarities."""
         fault.validate(self.config)
+        opposite = replace(fault, stuck=1 - fault.stuck)
+        if opposite in self._faults:
+            raise ValueError(
+                f"fault {fault.spec()} conflicts with {opposite.spec()}: "
+                "one bit cannot be stuck at 0 and at 1"
+            )
+        spec = self.config.reg_specs[fault.reg_class]
+        and_mask, or_mask = self._masks.setdefault(
+            fault.reg_class,
+            (np.full(spec.shape, -1, dtype=np.int64), np.zeros(spec.shape, dtype=np.int64)),
+        )
+        # A signed register's sign bit drives its sign extension too, so a
+        # stuck sign bit forces every bit from width-1 upward.
+        if spec.signed and fault.bit == spec.width - 1:
+            bits = -(1 << fault.bit)
+        else:
+            bits = 1 << fault.bit
+        cell = (fault.row, fault.col, fault.element)
+        if fault.stuck:
+            or_mask[cell] |= bits
+        else:
+            and_mask[cell] &= ~bits
         self._faults.append(fault)
-        self._faults_by_class[fault.reg_class].append(fault)
 
     def clear_faults(self) -> None:
         self._faults.clear()
-        for lst in self._faults_by_class.values():
-            lst.clear()
+        self._masks.clear()
 
-    def _forced(self, stored: np.ndarray, cls: RegClass, width: int) -> np.ndarray:
-        """Register-file read: stored bits with this class's faults forced.
+    def _read(self, cls: RegClass) -> np.ndarray:
+        """Register-file read: stored bits through this class's fault masks.
 
         Data and accumulator registers hold signed words; position-index
         registers hold unsigned patterns, so a forced index can point past
         the block (selecting nothing) but never goes negative.
         """
-        active = self._faults_by_class[cls]
-        if not active:
+        stored = self._regs[cls]
+        masks = self._masks.get(cls)
+        if masks is None:
             return stored
-        force = force_unsigned if cls is RegClass.WEIGHT_INDEX else force_signed
-        read = stored.copy()
-        for f in active:
-            if cls is RegClass.EDGE_ACCUMULATOR:
-                read[f.col] = force(read[f.col], width, f.bit, f.stuck)
-            elif cls is RegClass.OUTPUT:
-                read[f.row, f.col] = force(read[f.row, f.col], width, f.bit, f.stuck)
-            else:
-                read[f.row, f.col, f.element] = force(
-                    read[f.row, f.col, f.element], width, f.bit, f.stuck
-                )
-        return read
-
-    def _read_act(self) -> np.ndarray:
-        return self._forced(self._act, RegClass.ACTIVATION, self.config.data_width)
-
-    def _read_wgt(self) -> np.ndarray:
-        return self._forced(self._wgt, RegClass.WEIGHT, self.config.data_width)
-
-    def _read_idx(self) -> np.ndarray:
-        return self._forced(self._idx, RegClass.WEIGHT_INDEX, self.config.index_width)
-
-    def _read_out(self) -> np.ndarray:
-        return self._forced(self._out, RegClass.OUTPUT, self.config.acc_width)
-
-    def _read_edge(self) -> np.ndarray:
-        return self._forced(self._edge, RegClass.EDGE_ACCUMULATOR, self.config.acc_width)
+        return (stored & masks[0]) | masks[1]
 
     # -- weight loading ----------------------------------------------------
 
@@ -292,11 +285,10 @@ class TensorArray:
                 f"{cfg.data_width}"
             )
         vals, idxs = tile.as_arrays()
-        self._wgt[:] = vals
-        self._idx[:] = idxs
-        self._act[:] = 0
-        self._out[:] = 0
-        self._edge[:] = 0
+        self._regs[RegClass.WEIGHT][:] = vals
+        self._regs[RegClass.WEIGHT_INDEX][:] = idxs
+        for cls in (RegClass.ACTIVATION, RegClass.OUTPUT, RegClass.EDGE_ACCUMULATOR):
+            self._regs[cls][:] = 0
         self.weights_loaded = True
         self.cycles += cfg.rows
 
@@ -333,35 +325,36 @@ class TensorArray:
 
         # Activation blocks shift one TPE eastward; each hop reads the west
         # neighbour's registers, so that neighbour's stuck bits travel along.
-        propagated = self._read_act()
-        new_act = np.empty_like(self._act)
+        propagated = self._read(RegClass.ACTIVATION)
+        new_act = np.empty_like(propagated)
         new_act[:, 1:, :] = propagated[:, :-1, :]
         new_act[:, 0, :] = west
-        self._act = new_act
+        self._regs[RegClass.ACTIVATION] = new_act
 
         # Multiply phase: every slot selects one element of the freshly
         # latched block through its index register (or the forced pattern).
-        selectable = self._read_act()
+        selectable = self._read(RegClass.ACTIVATION)
         if test4_mask:
             sel_idx = self._forced_sel
         else:
-            sel_idx = self._read_idx()
+            sel_idx = self._read(RegClass.WEIGHT_INDEX)
         gathered = np.take_along_axis(
             selectable, np.minimum(sel_idx, m - 1), axis=2
         )
         if self._sel_can_overflow:
             gathered = np.where(sel_idx < m, gathered, 0)
         k = cfg.active_slots
-        contrib = (self._read_wgt()[..., :k] * gathered[..., :k]).sum(axis=2)
+        contrib = (self._read(RegClass.WEIGHT)[..., :k] * gathered[..., :k]).sum(axis=2)
 
         # Accumulate phase: add the north neighbour's previous-cycle output
         # (or the north port for row 0) and latch.
-        out_read = self._read_out()
+        out_read = self._read(RegClass.OUTPUT)[..., 0]
         north_in = np.empty((r, c), dtype=np.int64)
         north_in[0] = north
         north_in[1:] = out_read[:-1]
         south = out_read[-1].copy()
-        self._out = wrap_signed(north_in + contrib, cfg.acc_width)
+        latched = wrap_signed(north_in + contrib, cfg.acc_width)
+        self._regs[RegClass.OUTPUT] = latched[..., None]
         self.cycles += 1
         return south
 
@@ -441,25 +434,23 @@ class TensorArray:
         gold = wrap_signed(np.asarray(golden, dtype=np.int64), cfg.acc_width)
         if raw.shape != (cfg.cols,) or gold.shape != (cfg.cols,):
             raise ValueError(f"edge comparison needs {cfg.cols} values per side")
-        self._edge[:] = raw
-        return wrap_signed(self._read_edge() + gold, cfg.acc_width)
+        self._regs[RegClass.EDGE_ACCUMULATOR][0, :, 0] = raw
+        edge = self._read(RegClass.EDGE_ACCUMULATOR)[0, :, 0]
+        return wrap_signed(edge + gold, cfg.acc_width)
 
     def output_registers(self) -> np.ndarray:
         """Forced read of all output registers (rows x cols)."""
-        return self._read_out().copy()
+        return self._read(RegClass.OUTPUT)[..., 0].copy()
 
     def tpe_state(self, row: int, col: int) -> TpeState:
         """Forced read-back of one TPE's registers."""
         cfg = self.config
         if not (0 <= row < cfg.rows and 0 <= col < cfg.cols):
             raise ValueError(f"no TPE at ({row}, {col})")
-        act = self._read_act()[row, col]
-        wgt = self._read_wgt()[row, col]
-        idx = self._read_idx()[row, col]
-        out = self._read_out()[row, col]
-        return TpeState(
-            activation=tuple(Word.from_signed(int(v), cfg.data_width) for v in act),
-            weights=tuple(Word.from_signed(int(v), cfg.data_width) for v in wgt),
-            indexes=tuple(Word.from_signed(int(v), cfg.index_width) for v in idx),
-            output=Word.from_signed(int(out), cfg.acc_width),
+        # One tuple of words per TPE-resident class, in table order.
+        act, wgt, idx, out = (
+            tuple(Word.from_signed(int(v), spec.width) for v in self._read(cls)[row, col])
+            for cls, spec in cfg.reg_specs.items()
+            if cls is not RegClass.EDGE_ACCUMULATOR
         )
+        return TpeState(activation=act, weights=wgt, indexes=idx, output=out[0])

@@ -35,33 +35,15 @@ from stasim.sparsity import SparseWeightTile, pack_tile
 def enumerate_faults(config: ArrayConfig) -> list[FaultSite]:
     """Every stuck-at fault of the configuration, exactly once.
 
-    Covers both polarities of every bit of every activation, weight,
-    position-index and output register of every TPE, plus the per-column
-    edge accumulators.
+    Covers both polarities of every bit of every register in
+    ``config.reg_specs``, class by class in that order, then row, column,
+    element, bit and polarity.
     """
-    faults: list[FaultSite] = []
-    per_tpe = (
-        (RegClass.ACTIVATION, config.m, config.data_width),
-        (RegClass.WEIGHT, config.n, config.data_width),
-        (RegClass.WEIGHT_INDEX, config.n, config.index_width),
-        (RegClass.OUTPUT, 1, config.acc_width),
-    )
-    for cls, elements, width in per_tpe:
-        for row in range(config.rows):
-            for col in range(config.cols):
-                for element in range(elements):
-                    for bit in range(width):
-                        for stuck in (0, 1):
-                            faults.append(
-                                FaultSite(cls, row, col, element, bit, stuck)
-                            )
-    for col in range(config.cols):
-        for bit in range(config.acc_width):
-            for stuck in (0, 1):
-                faults.append(
-                    FaultSite(RegClass.EDGE_ACCUMULATOR, 0, col, 0, bit, stuck)
-                )
-    return faults
+    return [
+        FaultSite(cls, row, col, element, bit, stuck)
+        for cls, spec in config.reg_specs.items()
+        for row, col, element, bit, stuck in np.ndindex(*spec.shape, spec.width, 2)
+    ]
 
 
 def random_tiles(

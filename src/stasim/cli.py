@@ -80,7 +80,15 @@ def read_config_file(path) -> dict:
                     f"{path}:{lineno}: unknown key {key!r}; "
                     f"valid keys: {', '.join(_CONFIG_KEYS)}"
                 )
-            values[key] = raw if key == "mode" else int(raw)
+            if key == "mode":
+                values[key] = raw
+                continue
+            try:
+                values[key] = int(raw)
+            except ValueError:
+                raise ValueError(
+                    f"{path}:{lineno}: key {key!r} needs an integer, got {raw!r}"
+                ) from None
     return values
 
 
@@ -113,8 +121,9 @@ def resolve_config(args) -> tuple[ArrayConfig, int]:
 
 
 def cmd_prune(args) -> int:
+    config, _ = resolve_config(args)
     dense = read_matrix_csv(args.weights)
-    tile = pack_tile(dense, args.m or 4, args.n or 2, args.data_width or 16)
+    tile = pack_tile(dense, config.m, config.n, config.data_width)
     payload = tile.to_dict()
     payload["masks"] = [
         ["".join(str(b) for b in blk.mask(tile.m)) for blk in row]

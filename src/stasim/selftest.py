@@ -20,7 +20,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from stasim.arith import Word, is_bitwise_complement, wrap_signed
+from stasim.arith import mask_of, wrap_signed
 from stasim.array import ArrayConfig, TensorArray
 from stasim.sparsity import SparseWeightTile
 
@@ -161,15 +161,14 @@ def classify(raw, compared, golden: GoldenReference) -> tuple[Verdict, ...]:
     corrupted activation element disturbs the selection test at all columns
     in its residue class and the earliest one bounds the fault position.
     """
-    raw = np.asarray(raw)
-    compared = np.asarray(compared)
+    raw = np.asarray(raw, dtype=np.int64)
+    compared = np.asarray(compared, dtype=np.int64)
     cols = golden.cols
-    width = golden.acc_width
-
-    def comp(a: int, b: int) -> bool:
-        return is_bitwise_complement(
-            Word.from_signed(int(a), width), Word.from_signed(int(b), width)
-        )
+    # Tests 1 and 2 are bitwise complements when every one of the
+    # accumulator's bits differs between them.
+    ones = mask_of(golden.acc_width)
+    raw_comps = ((raw[0] ^ raw[1]) & ones) == ones
+    compared_comps = ((compared[0] ^ compared[1]) & ones) == ones
 
     verdicts: dict[int, Verdict] = {}
     test4_only: list[int] = []
@@ -181,8 +180,7 @@ def classify(raw, compared, golden: GoldenReference) -> tuple[Verdict, ...]:
             compared[1, j] != EXPECTED_COMPARED[1]
         )
         if t12_bad:
-            raw_comp = comp(raw[0, j], raw[1, j])
-            compared_comp = comp(compared[0, j], compared[1, j])
+            raw_comp, compared_comp = raw_comps[j], compared_comps[j]
             if raw_comp and compared_comp:
                 kind = VerdictKind.WEIGHT_REGISTER
             elif not raw_comp and not compared_comp:

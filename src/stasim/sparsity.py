@@ -126,12 +126,19 @@ class SparseWeightTile:
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed tile description: {exc}") from exc
         tile = cls(blocks=tuple(rows), m=m, n=n, data_width=width)
-        for row in tile.blocks:
+        lo, hi = -(1 << (width - 1)), (1 << (width - 1)) - 1
+        for i, row in enumerate(tile.blocks):
             if len(row) != tile.grid_cols:
                 raise ValueError("ragged tile block grid")
-            for blk in row:
+            for j, blk in enumerate(row):
                 if len(blk.values) != n or len(blk.indexes) != n:
                     raise ValueError("tile block arity does not match n")
+                for slot, (v, pos) in enumerate(zip(blk.values, blk.indexes)):
+                    where = f"tile block ({i}, {j}) slot {slot}"
+                    if not (isinstance(pos, int) and 0 <= pos < m):
+                        raise ValueError(f"{where}: index {pos!r} not in 0..{m - 1}")
+                    if not (isinstance(v, int) and lo <= v <= hi):
+                        raise ValueError(f"{where}: value {v!r} not in {lo}..{hi}")
         return tile
 
 

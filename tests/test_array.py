@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from stasim.arith import wrap_signed
-from stasim.array import ArrayConfig, FaultSite, RegClass, TensorArray
+from stasim.arith import Word, force_bit, wrap_signed
+from stasim.array import ArrayConfig, FaultSite, RegClass, TensorArray, TpeState
+from stasim.campaign import enumerate_faults
 from stasim.sparsity import SparseBlock, SparseWeightTile, densify, pack_tile
 
 
@@ -367,3 +368,109 @@ def test_multiple_faults_compose():
     array.inject(FaultSite(RegClass.WEIGHT, 0, 0, 0, 0, 1))
     array.inject(FaultSite(RegClass.WEIGHT, 0, 0, 0, 1, 1))
     assert array.tpe_state(0, 0).weights[0].signed == 3
+
+
+def test_conflicting_polarities_rejected():
+    array = TensorArray(ArrayConfig())
+    array.inject(FaultSite(RegClass.WEIGHT, 1, 2, 0, 5, 0))
+    array.inject(FaultSite(RegClass.WEIGHT, 1, 2, 0, 5, 0))
+    array.inject(FaultSite(RegClass.WEIGHT, 1, 2, 1, 5, 1))
+    with pytest.raises(ValueError, match="weight:1:2:0:5:1.*weight:1:2:0:5:0"):
+        array.inject(FaultSite(RegClass.WEIGHT, 1, 2, 0, 5, 1))
+    assert len(array.faults) == 3
+
+
+def _forced_word(value, width, faults):
+    word = Word.from_signed(int(value), width)
+    for f in faults:
+        word = force_bit(word, f.bit, f.stuck)
+    return word
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        ArrayConfig(rows=3, cols=4, m=3, n=2),
+        ArrayConfig(rows=2, cols=3, m=5, n=3),
+        ArrayConfig(rows=2, cols=3, data_width=30, acc_width=62),
+    ],
+    ids=["m3", "m5n3", "wide"],
+)
+def test_masked_reads_match_scalar_forcing(cfg):
+    """Mask reads equal force_bit applied fault by fault to the stored words."""
+    rng = np.random.default_rng(137)
+    universe = enumerate_faults(cfg)
+    specs = cfg.reg_specs
+    sign_bits = [
+        f for f in universe
+        if specs[f.reg_class].signed and f.bit == specs[f.reg_class].width - 1
+    ]
+    d_lo, d_hi = -(1 << (cfg.data_width - 1)), 1 << (cfg.data_width - 1)
+    a_hi = 1 << (cfg.acc_width - 1)
+    seen_sign = set()
+    for _ in range(40):
+        array = TensorArray(cfg)
+        array.load_weights(random_tile(rng, cfg))
+        for _ in range(cfg.cols + 1):
+            west = rng.integers(d_lo, d_hi, size=(cfg.rows, cfg.m))
+            north = rng.integers(-a_hi, a_hi, size=cfg.cols)
+            array.step(west, north)
+        clean = {
+            (r, c): array.tpe_state(r, c)
+            for r in range(cfg.rows)
+            for c in range(cfg.cols)
+        }
+        clean_out = array.output_registers()
+
+        picks = [universe[i] for i in rng.choice(len(universe), 5, replace=False)]
+        picks += [sign_bits[i] for i in rng.choice(len(sign_bits), 2, replace=False)]
+        faults = {}
+        for f in picks:
+            faults.setdefault((f.reg_class, f.row, f.col, f.element, f.bit), f)
+        for f in faults.values():
+            array.inject(f)
+            if f in sign_bits:
+                seen_sign.add(f.stuck)
+
+        def at(cls, r, c, e=0):
+            return [
+                f for f in faults.values()
+                if (f.reg_class, f.row, f.col, f.element) == (cls, r, c, e)
+            ]
+
+        for (r, c), state in clean.items():
+            want = TpeState(
+                activation=tuple(
+                    _forced_word(w.signed, w.width, at(RegClass.ACTIVATION, r, c, e))
+                    for e, w in enumerate(state.activation)
+                ),
+                weights=tuple(
+                    _forced_word(w.signed, w.width, at(RegClass.WEIGHT, r, c, e))
+                    for e, w in enumerate(state.weights)
+                ),
+                indexes=tuple(
+                    _forced_word(w.bits, w.width, at(RegClass.WEIGHT_INDEX, r, c, e))
+                    for e, w in enumerate(state.indexes)
+                ),
+                output=_forced_word(
+                    state.output.signed, cfg.acc_width, at(RegClass.OUTPUT, r, c)
+                ),
+            )
+            assert array.tpe_state(r, c) == want
+            assert array.output_registers()[r, c] == want.output.signed
+
+        raw = rng.integers(-a_hi, a_hi, size=cfg.cols)
+        gold = rng.integers(-a_hi, a_hi, size=cfg.cols)
+        want_edge = [
+            wrap_signed(
+                _forced_word(raw[c], cfg.acc_width, at(RegClass.EDGE_ACCUMULATOR, 0, c))
+                .signed + int(gold[c]),
+                cfg.acc_width,
+            )
+            for c in range(cfg.cols)
+        ]
+        assert array.edge_compare(raw, gold).tolist() == want_edge
+
+        array.clear_faults()
+        assert np.array_equal(array.output_registers(), clean_out)
+    assert seen_sign == {0, 1}

@@ -24,12 +24,26 @@ def zero_tile(config):
     return pack_tile(dense, config.m, config.n, config.data_width)
 
 
-def test_enumeration_count_default_config():
-    faults = enumerate_faults(ArrayConfig())
-    # per TPE: 4*16 activation + 2*16 weight + 2*2 index + 32 output bits,
-    # each in two polarities, for 64 TPEs; plus 8 edge accumulators
-    assert len(faults) == 64 * (64 + 32 + 4 + 32) * 2 + 8 * 32 * 2
-    assert len(faults) == 17408
+@pytest.mark.parametrize(
+    "config, per_tpe_bits, edge_bits, total",
+    [
+        # per TPE: 4*16 activation + 2*16 weight + 2*2 index + 32 output bits
+        (ArrayConfig(), 64 + 32 + 4 + 32, 8 * 32, 17408),
+        # 5*12 activation + 3*12 weight + 3*3 index + 24 output bits
+        (
+            ArrayConfig(rows=3, cols=2, m=5, n=3, data_width=12, acc_width=24),
+            60 + 36 + 9 + 24,
+            2 * 24,
+            1644,
+        ),
+    ],
+    ids=["default", "m5n3"],
+)
+def test_enumeration_count(config, per_tpe_bits, edge_bits, total):
+    faults = enumerate_faults(config)
+    # every bit in two polarities, in every TPE plus every edge accumulator
+    tpes = config.rows * config.cols
+    assert len(faults) == tpes * per_tpe_bits * 2 + edge_bits * 2 == total
 
 
 def test_enumeration_count_single_tpe():

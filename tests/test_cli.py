@@ -50,6 +50,21 @@ def test_prune_ratio_of_ones(tmp_path, capsys):
     assert "= 0.5000" in capsys.readouterr().out
 
 
+def test_prune_follows_config(tmp_path, capsys):
+    dense = np.arange(1, 17, dtype=np.int64).reshape(16, 1)
+    w_csv = write_csv(tmp_path / "w.csv", dense)
+    cfg = tmp_path / "array.cfg"
+    cfg.write_text("m=8\nn=3\ndata_width=8\n")
+    out = tmp_path / "tile.json"
+    assert main(["prune", w_csv, "--config", str(cfg), "-o", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert (payload["m"], payload["n"], payload["data_width"]) == (8, 3, 8)
+    assert payload["masks"] == [["00000111"], ["00000111"]]
+    assert "(3:8)" in capsys.readouterr().out
+    assert main(["prune", w_csv, "--mode", "3:4", "-o", str(out)]) == 2
+    assert "mode" in capsys.readouterr().err
+
+
 def test_matmul_testing_does_not_change_output(tmp_path, capsys):
     rng = np.random.default_rng(503)
     a_csv = write_csv(tmp_path / "a.csv", rng.integers(-50, 51, size=(5, 40)))
@@ -155,6 +170,13 @@ def test_selftest_bad_fault_spec_exits_2(ones_tile_csv, capsys):
     assert err.count("error:") == 3
 
 
+def test_selftest_conflicting_faults_exit_2(ones_tile_csv, capsys):
+    faults = ["--fault", "weight:0:0:0:3:0", "--fault", "weight:0:0:0:3:1"]
+    assert main(["selftest", ones_tile_csv, *faults]) == 2
+    err = capsys.readouterr().err
+    assert "weight:0:0:0:3:1" in err and "weight:0:0:0:3:0" in err
+
+
 def test_parse_fault_spec_round_trip():
     sites = [
         FaultSite(RegClass.ACTIVATION, 1, 2, 3, 0, 1),
@@ -186,6 +208,9 @@ def test_read_config_file(tmp_path):
         read_config_file(cfg)
     cfg.write_text("rows\n")
     with pytest.raises(ValueError, match="key=value"):
+        read_config_file(cfg)
+    cfg.write_text("rows = 2\nm = x\n")
+    with pytest.raises(ValueError, match=r"array\.cfg:2: key 'm' needs an integer, got 'x'"):
         read_config_file(cfg)
 
 

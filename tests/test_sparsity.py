@@ -175,6 +175,24 @@ def test_tile_from_dict_rejects_malformed():
         SparseWeightTile.from_dict(data)
 
 
+@pytest.mark.parametrize(
+    "field, bad, message",
+    [
+        ("indexes", [7, 0], r"block \(0, 1\) slot 0: index 7 not in 0\.\.3"),
+        ("indexes", [0, -1], r"block \(0, 1\) slot 1: index -1 not in 0\.\.3"),
+        ("values", [99999, 1], r"block \(0, 1\) slot 0: value 99999 not in -32768\.\.32767"),
+        ("values", [1, -32769], r"slot 1: value -32769 not in"),
+        ("values", [1.5, 1], r"slot 0: value 1.5 not in"),
+    ],
+    ids=["index-high", "index-negative", "value-high", "value-low", "value-float"],
+)
+def test_tile_from_dict_rejects_out_of_range_entries(field, bad, message):
+    data = pack_tile(np.ones((4, 2), dtype=int), 4, 2).to_dict()
+    data["blocks"][0][1][field] = bad
+    with pytest.raises(ValueError, match=message):
+        SparseWeightTile.from_dict(data)
+
+
 def test_csv_round_trip(tmp_path):
     rng = np.random.default_rng(43)
     w = rng.integers(-32768, 32768, size=(10, 7))
