@@ -13,11 +13,13 @@ stored bits stay intact, every consumer of the register sees the forced bit.
 That makes injection idempotent and keeps fault effects strictly downstream
 of the faulted site.
 
-Timing model, with cycle 0 the first ``step`` call of a stream: input row x
-is presented to array row r at cycle ``x + r`` (the usual systolic skew), and
-the finished column-j sum for input row x is returned by the ``step`` call at
-cycle ``x + R + j``.  A full stream of X input rows therefore takes
-``X + R + C - 1`` cycles.
+Timing model, with cycle 0 the first cycle of a stream: input row x is
+presented to array row r at cycle ``x + r`` (the usual systolic skew), and the
+finished column-j sum for input row x leaves the array at cycle ``x + R + j``.
+A full stream of X input rows therefore takes ``X + R + C - 1`` cycles.
+Registers are rewritten every cycle, so ``stream`` computes wave by wave, with
+no clock loop; ``step`` advances one cycle and is the reference it is tested
+against.
 """
 
 from __future__ import annotations
@@ -129,6 +131,24 @@ class ArrayConfig:
             RegClass.EDGE_ACCUMULATOR: RegSpec((1, c, 1), self.acc_width, True),
         }
 
+    def check_tile(self, tile: SparseWeightTile) -> None:
+        """Reject a tile whose grid, packing or data width differs from ours."""
+        if (tile.grid_rows, tile.grid_cols) != (self.rows, self.cols):
+            raise ValueError(
+                f"tile grid {tile.grid_rows}x{tile.grid_cols} does not match "
+                f"array {self.rows}x{self.cols}"
+            )
+        if (tile.m, tile.n) != (self.m, self.n):
+            raise ValueError(
+                f"tile packing {tile.n}:{tile.m} does not match array "
+                f"{self.n}:{self.m}"
+            )
+        if tile.data_width != self.data_width:
+            raise ValueError(
+                f"tile data width {tile.data_width} does not match array "
+                f"{self.data_width}"
+            )
+
 
 @dataclass(frozen=True)
 class FaultSite:
@@ -187,8 +207,7 @@ class TpeState:
 class TensorArray:
     """Mutable state machine for one array instance.
 
-    Not thread-safe; campaigns wanting parallelism run one instance per
-    worker and merge results afterwards.
+    Not thread-safe: use one instance per thread.
     """
 
     def __init__(self, config: ArrayConfig):
@@ -203,7 +222,6 @@ class TensorArray:
         # activation element j mod m, in every slot of every row.
         pattern = (np.arange(c, dtype=np.int64) % m)[None, :, None]
         self._forced_sel = np.broadcast_to(pattern, (r, c, n)).copy()
-        self._sel_can_overflow = (1 << config.index_width) > m
         self._faults: list[FaultSite] = []
         # Per faulted class, (and_mask, or_mask) applied on every read.
         self._masks: dict[RegClass, tuple[np.ndarray, np.ndarray]] = {}
@@ -247,18 +265,20 @@ class TensorArray:
         self._faults.clear()
         self._masks.clear()
 
-    def _read(self, cls: RegClass) -> np.ndarray:
+    def _read(self, cls: RegClass, values=None, at=...) -> np.ndarray:
         """Register-file read: stored bits through this class's fault masks.
 
         Data and accumulator registers hold signed words; position-index
         registers hold unsigned patterns, so a forced index can point past
-        the block (selecting nothing) but never goes negative.
+        the block (selecting nothing) but never goes negative.  ``values``
+        (default: the stored file) are read as if latched in cells ``at``.
         """
-        stored = self._regs[cls]
+        if values is None:
+            values = self._regs[cls]
         masks = self._masks.get(cls)
         if masks is None:
-            return stored
-        return (stored & masks[0]) | masks[1]
+            return values
+        return (values & masks[0][at]) | masks[1][at]
 
     # -- weight loading ----------------------------------------------------
 
@@ -269,21 +289,7 @@ class TensorArray:
         ``rows`` cycles.  Output and activation registers are cleared.
         """
         cfg = self.config
-        if (tile.grid_rows, tile.grid_cols) != (cfg.rows, cfg.cols):
-            raise ValueError(
-                f"tile grid {tile.grid_rows}x{tile.grid_cols} does not match "
-                f"array {cfg.rows}x{cfg.cols}"
-            )
-        if tile.m != cfg.m or tile.n != cfg.n:
-            raise ValueError(
-                f"tile packing {tile.n}:{tile.m} does not match array "
-                f"{cfg.n}:{cfg.m}"
-            )
-        if tile.data_width != cfg.data_width:
-            raise ValueError(
-                f"tile data width {tile.data_width} does not match array "
-                f"{cfg.data_width}"
-            )
+        cfg.check_tile(tile)
         vals, idxs = tile.as_arrays()
         self._regs[RegClass.WEIGHT][:] = vals
         self._regs[RegClass.WEIGHT_INDEX][:] = idxs
@@ -293,6 +299,22 @@ class TensorArray:
         self.cycles += cfg.rows
 
     # -- datapath ----------------------------------------------------------
+
+    def _multiply(self, act: np.ndarray, test4_mask: bool) -> np.ndarray:
+        """Multiply phase on read activation blocks ``act`` (..., rows, cols, m).
+
+        Each active slot multiplies its weight by the element its index
+        register (or the test-4 forced pattern) selects; an index past the
+        block selects nothing.  Returns the per-TPE sums.
+        """
+        cfg = self.config
+        k = cfg.active_slots
+        sel = self._forced_sel if test4_mask else self._read(RegClass.WEIGHT_INDEX)
+        picks = sel[..., :k, None] == np.arange(cfg.m)
+        # Each element's weight is the sum of the weights of the slots that
+        # select it, so one product per element covers every slot.
+        element_weights = (self._read(RegClass.WEIGHT)[..., :k, None] * picks).sum(axis=2)
+        return (act * element_weights).sum(axis=-1)
 
     def step(self, west_inputs=None, north_sums=None, test4_mask: bool = False):
         """Advance one clock cycle; returns the previous cycle's south outputs.
@@ -331,20 +353,7 @@ class TensorArray:
         new_act[:, 0, :] = west
         self._regs[RegClass.ACTIVATION] = new_act
 
-        # Multiply phase: every slot selects one element of the freshly
-        # latched block through its index register (or the forced pattern).
-        selectable = self._read(RegClass.ACTIVATION)
-        if test4_mask:
-            sel_idx = self._forced_sel
-        else:
-            sel_idx = self._read(RegClass.WEIGHT_INDEX)
-        gathered = np.take_along_axis(
-            selectable, np.minimum(sel_idx, m - 1), axis=2
-        )
-        if self._sel_can_overflow:
-            gathered = np.where(sel_idx < m, gathered, 0)
-        k = cfg.active_slots
-        contrib = (self._read(RegClass.WEIGHT)[..., :k] * gathered[..., :k]).sum(axis=2)
+        contrib = self._multiply(self._read(RegClass.ACTIVATION), test4_mask)
 
         # Accumulate phase: add the north neighbour's previous-cycle output
         # (or the north port for row 0) and latch.
@@ -382,34 +391,42 @@ class TensorArray:
             if norths.shape != (x_rows,):
                 raise ValueError(f"need one north value per input row, got {norths.shape}")
 
-        total = x_rows + r + c - 1
-        history = np.empty((total, c), dtype=np.int64)
-        row_ids = np.arange(r)
-        col_ids = np.arange(c)
-        west = np.zeros((r, cfg.m), dtype=np.int64)
-        north = np.zeros(c, dtype=np.int64)
-        for t in range(total):
-            west[:] = 0
-            feed = t - row_ids
-            live = (feed >= 0) & (feed < x_rows)
-            west[live] = blocks[feed[live], row_ids[live]]
-            north[:] = 0
-            wave = t - col_ids
-            live_n = (wave >= 0) & (wave < x_rows)
-            north[live_n] = norths[wave[live_n]]
-            history[t] = self.step(west, north, test4_mask)
+        if not self.weights_loaded:
+            raise RuntimeError("weights must be loaded before streaming through the array")
 
-        results = np.empty((x_rows, c), dtype=np.int64)
+        # Wave x meets TPE (r, c) at cycle x + r + c.  One trailing bubble
+        # wave (zero block, zero north value) is appended: once the stream
+        # drains, it is what every TPE's registers hold.
+        waves = x_rows + 1
+        act = np.zeros((waves, r, cfg.m), dtype=np.int64)
+        act[:x_rows] = wrap_signed(blocks, cfg.data_width)
+        seen = np.empty((waves, r, c, cfg.m), dtype=np.int64)
         for j in range(c):
-            results[:, j] = history[r + j : r + j + x_rows, j]
-        return results, total
+            self._regs[RegClass.ACTIVATION][:, j] = act[-1]
+            # The hop east reads this column's register, stuck bits included.
+            act = self._read(RegClass.ACTIVATION, act, np.s_[:, j])
+            seen[:, :, j] = act
+        contrib = self._multiply(seen, test4_mask)
+
+        # Partial sums cascade south; the row below reads each row's output
+        # register, stuck bits included.
+        psum = np.zeros((waves, c), dtype=np.int64)
+        psum[:x_rows] = wrap_signed(norths, cfg.acc_width)[:, None]
+        for i in range(r):
+            psum = wrap_signed(psum + contrib[:, i], cfg.acc_width)
+            self._regs[RegClass.OUTPUT][i, :, 0] = psum[-1]
+            psum = self._read(RegClass.OUTPUT, psum, np.s_[i, :, 0])
+
+        total = x_rows + r + c - 1
+        self.cycles += total
+        return psum[:x_rows], total
 
     def run_compute(self, a):
         """Stream the rows of ``a`` (X x rows*m) through the loaded weights.
 
         Returns (results, cycles): results is the X x cols product of ``a``
-        with the pruned dense weights, computed cycle by cycle through the
-        array; cycles is X + rows + cols - 1.
+        with the pruned dense weights, computed wave by wave through the
+        array's (possibly faulty) registers; cycles is X + rows + cols - 1.
         """
         cfg = self.config
         a = np.asarray(a, dtype=np.int64)

@@ -9,13 +9,15 @@ the detected fraction; the cumulative curve tracks it tile by tile.
 Optionally the campaign checks, per detected fault, that the session verdict
 names the injected register class, and, per undetected fault, whether the
 fault is actually harmless (bit-identical matmul results on random inputs).
+
+Campaigns run in the calling process, one fault after another; there is no
+worker pool.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -240,8 +242,8 @@ def run_campaign(
 ) -> CoverageReport:
     """Measure self-test coverage of the fault universe over a workload.
 
-    Deterministic for a given argument set, including ``jobs``: workers
-    partition the fault list and results merge back in enumeration order.
+    Deterministic for a given argument set.  ``jobs`` is accepted for
+    compatibility and ignored: the campaign runs in one process.
     """
     if not tiles:
         raise ValueError("campaign needs at least one weight tile")
@@ -253,26 +255,9 @@ def run_campaign(
         else None
     )
 
-    if jobs > 1 and len(fault_list) > 1:
-        chunk = -(-len(fault_list) // (jobs * 4))
-        slices = [
-            fault_list[i : i + chunk] for i in range(0, len(fault_list), chunk)
-        ]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = pool.map(
-                _evaluate_faults,
-                [config] * len(slices),
-                [tiles] * len(slices),
-                [goldens] * len(slices),
-                slices,
-                [verify_classification] * len(slices),
-                [harness] * len(slices),
-            )
-            outcomes = [o for part in parts for o in part]
-    else:
-        outcomes = _evaluate_faults(
-            config, tiles, goldens, fault_list, verify_classification, harness
-        )
+    outcomes = _evaluate_faults(
+        config, tiles, goldens, fault_list, verify_classification, harness
+    )
 
     per_class: dict[str, dict[str, int]] = {
         cls.value: {

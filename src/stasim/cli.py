@@ -240,7 +240,6 @@ def cmd_campaign(args) -> int:
         config,
         check_harmless=args.harmless,
         seed=seed,
-        jobs=args.jobs,
     )
     with open(args.output, "w") as fh:
         fh.write(report.to_json())
@@ -320,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="verify undetected faults against random matmuls",
     )
-    p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
+    p.add_argument("--jobs", type=int, default=1, help="ignored; campaigns run in one process")
     p.add_argument("-o", "--output", required=True, help="coverage report JSON path")
     p.add_argument("--curve", help="cumulative coverage curve CSV path")
     p.set_defaults(func=cmd_campaign)

@@ -65,16 +65,7 @@ def compute_golden(tile: SparseWeightTile, config: ArrayConfig) -> GoldenReferen
     position-weighted sum -sum((index+1) * weight), and test 4 adds
     -((j mod m) + 1) * S_j to cancel the forced-selection response.
     """
-    if (tile.grid_rows, tile.grid_cols) != (config.rows, config.cols):
-        raise ValueError(
-            f"tile grid {tile.grid_rows}x{tile.grid_cols} does not match array "
-            f"{config.rows}x{config.cols}"
-        )
-    if tile.m != config.m or tile.n != config.n:
-        raise ValueError(
-            f"tile packing {tile.n}:{tile.m} does not match array "
-            f"{config.n}:{config.m}"
-        )
+    config.check_tile(tile)
     vals, idxs = tile.as_arrays()
     k = config.active_slots
     w = vals[..., :k]

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Sequence
 
 import numpy as np
@@ -62,14 +63,31 @@ class SparseWeightTile:
     """An R x C grid of packed blocks, ready to load into the array.
 
     Grid row i, column j covers dense rows ``i*m .. i*m + m - 1`` of dense
-    column j.  ``data_width`` records the two's-complement width every value
-    was validated against.
+    column j.  ``data_width`` is the two's-complement width every value is
+    checked against at construction, together with the grid shape, the
+    block arity n and the index range 0..m-1.
     """
 
     blocks: tuple[tuple[SparseBlock, ...], ...]
     m: int
     n: int
     data_width: int
+
+    def __post_init__(self) -> None:
+        m, n = self.m, self.n
+        lo, hi = -(1 << (self.data_width - 1)), (1 << (self.data_width - 1)) - 1
+        for i, row in enumerate(self.blocks):
+            if len(row) != self.grid_cols:
+                raise ValueError("ragged tile block grid")
+            for j, blk in enumerate(row):
+                if len(blk.values) != n or len(blk.indexes) != n:
+                    raise ValueError("tile block arity does not match n")
+                for slot, (v, pos) in enumerate(zip(blk.values, blk.indexes)):
+                    where = f"tile block ({i}, {j}) slot {slot}"
+                    if not (isinstance(pos, Integral) and 0 <= pos < m):
+                        raise ValueError(f"{where}: index {pos!r} not in 0..{m - 1}")
+                    if not (isinstance(v, Integral) and lo <= v <= hi):
+                        raise ValueError(f"{where}: value {v!r} not in {lo}..{hi}")
 
     @property
     def grid_rows(self) -> int:
@@ -125,21 +143,7 @@ class SparseWeightTile:
             ]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed tile description: {exc}") from exc
-        tile = cls(blocks=tuple(rows), m=m, n=n, data_width=width)
-        lo, hi = -(1 << (width - 1)), (1 << (width - 1)) - 1
-        for i, row in enumerate(tile.blocks):
-            if len(row) != tile.grid_cols:
-                raise ValueError("ragged tile block grid")
-            for j, blk in enumerate(row):
-                if len(blk.values) != n or len(blk.indexes) != n:
-                    raise ValueError("tile block arity does not match n")
-                for slot, (v, pos) in enumerate(zip(blk.values, blk.indexes)):
-                    where = f"tile block ({i}, {j}) slot {slot}"
-                    if not (isinstance(pos, int) and 0 <= pos < m):
-                        raise ValueError(f"{where}: index {pos!r} not in 0..{m - 1}")
-                    if not (isinstance(v, int) and lo <= v <= hi):
-                        raise ValueError(f"{where}: value {v!r} not in {lo}..{hi}")
-        return tile
+        return cls(blocks=tuple(rows), m=m, n=n, data_width=width)
 
 
 def pack_tile(

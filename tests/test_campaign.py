@@ -1,6 +1,7 @@
 """Unit tests for fault enumeration and coverage campaigns."""
 
 import json
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -114,13 +115,18 @@ def test_campaign_is_deterministic():
     assert first.to_dict() == second.to_dict()
 
 
-def test_parallel_jobs_match_serial():
+def test_parallel_jobs_match_serial(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a campaign must not start worker processes")
+
+    monkeypatch.setattr(ProcessPoolExecutor, "__init__", no_pool)
     rng = np.random.default_rng(419)
     tiles = random_tiles(rng, TINY, 2, magnitude=100)
     faults = enumerate_faults(TINY)[::4]
     serial = run_campaign(tiles, TINY, faults=faults, jobs=1)
-    parallel = run_campaign(tiles, TINY, faults=faults, jobs=2)
-    assert serial.to_dict() == parallel.to_dict()
+    for jobs in (2, 64):
+        parallel = run_campaign(tiles, TINY, faults=faults, jobs=jobs)
+        assert serial.to_dict() == parallel.to_dict()
 
 
 def test_cumulative_curve_shape_and_totals():

@@ -102,6 +102,8 @@ def test_golden_shape_mismatch_rejected():
         compute_golden(pack_tile(np.ones((8, 3), dtype=np.int64), 4, 2), cfg)
     with pytest.raises(ValueError):
         compute_golden(pack_tile(np.ones((8, 2), dtype=np.int64), 4, 1), cfg)
+    with pytest.raises(ValueError, match="data width 12 does not match array 16"):
+        compute_golden(pack_tile(np.ones((8, 2), dtype=np.int64), 4, 2, 12), cfg)
 
 
 # -- fault-free sessions ---------------------------------------------------------

@@ -193,6 +193,29 @@ def test_tile_from_dict_rejects_out_of_range_entries(field, bad, message):
         SparseWeightTile.from_dict(data)
 
 
+@pytest.mark.parametrize(
+    "blocks, message",
+    [
+        (((SparseBlock((3, 99999), (7, 0)),),), r"block \(0, 0\) slot 0: index 7 not in 0\.\.3"),
+        (((SparseBlock((3, 99999), (0, 1)),),), r"slot 1: value 99999 not in -32768\.\.32767"),
+        (((SparseBlock((3, 2.5), (0, 1)),),), r"slot 1: value 2.5 not in"),
+        (((SparseBlock((3,), (0,)),),), "arity"),
+        (
+            (
+                (SparseBlock((1, 2), (0, 1)), SparseBlock((1, 2), (0, 1))),
+                (SparseBlock((1, 2), (0, 1)),),
+            ),
+            "ragged",
+        ),
+    ],
+    ids=["index", "value", "value-float", "arity", "ragged"],
+)
+def test_tile_construction_checks_entries(blocks, message):
+    """Tiles built in code get the same checks as ``from_dict``."""
+    with pytest.raises(ValueError, match=message):
+        SparseWeightTile(blocks=blocks, m=4, n=2, data_width=16)
+
+
 def test_csv_round_trip(tmp_path):
     rng = np.random.default_rng(43)
     w = rng.integers(-32768, 32768, size=(10, 7))

@@ -1,0 +1,143 @@
+"""Property test: the wave-by-wave ``stream`` against the cycle-level stepper."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from stasim.array import ArrayConfig, FaultSite, RegClass, TensorArray
+from stasim.sparsity import SparseBlock, SparseWeightTile
+
+
+def stepped_stream(array, blocks, north_values, test4_mask):
+    """Reference schedule: feed the skewed stream one ``step`` per cycle."""
+    cfg = array.config
+    r, c = cfg.rows, cfg.cols
+    blocks = np.asarray(blocks, dtype=np.int64)
+    x_rows = blocks.shape[0]
+    norths = np.asarray(north_values, dtype=np.int64)
+    total = x_rows + r + c - 1
+    history = np.empty((total, c), dtype=np.int64)
+    row_ids = np.arange(r)
+    col_ids = np.arange(c)
+    for t in range(total):
+        west = np.zeros((r, cfg.m), dtype=np.int64)
+        feed = t - row_ids
+        live = (feed >= 0) & (feed < x_rows)
+        west[live] = blocks[feed[live], row_ids[live]]
+        north = np.zeros(c, dtype=np.int64)
+        wave = t - col_ids
+        live_n = (wave >= 0) & (wave < x_rows)
+        north[live_n] = norths[wave[live_n]]
+        history[t] = array.step(west, north, test4_mask)
+    results = np.empty((x_rows, c), dtype=np.int64)
+    for j in range(c):
+        results[:, j] = history[r + j : r + j + x_rows, j]
+    return results, total
+
+
+@st.composite
+def configs(draw):
+    m = draw(st.integers(1, 7))
+    n = draw(st.integers(1, m))
+    active = draw(st.integers(1, n))
+    data_width = draw(st.sampled_from([2, 3, 8, 16, 30]))
+    acc_width = draw(st.sampled_from(sorted({data_width, 2 * data_width, 32, 62})))
+    return ArrayConfig(
+        rows=draw(st.integers(1, 6)),
+        cols=draw(st.integers(1, 6)),
+        m=m,
+        n=n,
+        data_width=data_width,
+        acc_width=acc_width,
+        mode=f"{active}:{m}",
+    )
+
+
+def random_tile(rng, cfg):
+    lo, hi = -(1 << (cfg.data_width - 1)), 1 << (cfg.data_width - 1)
+    blocks = tuple(
+        tuple(
+            SparseBlock(
+                tuple(int(v) for v in rng.integers(lo, hi, size=cfg.n)),
+                tuple(int(i) for i in rng.integers(0, cfg.m, size=cfg.n)),
+            )
+            for _ in range(cfg.cols)
+        )
+        for _ in range(cfg.rows)
+    )
+    return SparseWeightTile(blocks=blocks, m=cfg.m, n=cfg.n, data_width=cfg.data_width)
+
+
+def random_fault(rng, cfg, cls):
+    spec = cfg.reg_specs[cls]
+    row, col, element = (int(rng.integers(0, size)) for size in spec.shape)
+    bit = int(rng.integers(0, spec.width))
+    return FaultSite(cls, row, col, element, bit, int(rng.integers(0, 2)))
+
+
+def assert_same_state(wave, ref):
+    cfg = wave.config
+    assert wave.cycles == ref.cycles
+    assert np.array_equal(wave.output_registers(), ref.output_registers())
+    for r in range(cfg.rows):
+        for c in range(cfg.cols):
+            assert wave.tpe_state(r, c) == ref.tpe_state(r, c)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    cfg=configs(),
+    fault_classes=st.lists(st.sampled_from(list(RegClass)), max_size=3),
+    streams=st.lists(
+        st.tuples(st.integers(0, 8), st.booleans(), st.booleans()),
+        min_size=1,
+        max_size=2,
+    ),
+    warmup_steps=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_wave_stream_matches_stepper(cfg, fault_classes, streams, warmup_steps, seed):
+    rng = np.random.default_rng(seed)
+    d_lo, d_hi = -(1 << (cfg.data_width - 1)), 1 << (cfg.data_width - 1)
+    a_lo, a_hi = -(1 << (cfg.acc_width - 1)), 1 << (cfg.acc_width - 1)
+    wave, ref = TensorArray(cfg), TensorArray(cfg)
+    with pytest.raises(RuntimeError):
+        wave.stream(np.zeros((1, cfg.rows, cfg.m), dtype=np.int64))
+
+    bits = set()
+    for cls in fault_classes:
+        fault = random_fault(rng, cfg, cls)
+        where = (fault.reg_class, fault.row, fault.col, fault.element, fault.bit)
+        if where not in bits:
+            bits.add(where)
+            wave.inject(fault)
+            ref.inject(fault)
+    tile = random_tile(rng, cfg)
+    wave.load_weights(tile)
+    ref.load_weights(tile)
+
+    # Arbitrary steps leave state no stream would; streams must not depend on it.
+    for _ in range(warmup_steps):
+        west = rng.integers(d_lo, d_hi, size=(cfg.rows, cfg.m))
+        north = rng.integers(a_lo, a_hi, size=cfg.cols)
+        wave.step(west, north)
+        ref.step(west, north)
+    assert_same_state(wave, ref)
+
+    for x_rows, with_norths, test4_mask in streams:
+        # One bit wider than the registers: both engines wrap their inputs.
+        blocks = rng.integers(2 * d_lo, 2 * d_hi, size=(x_rows, cfg.rows, cfg.m))
+        norths = (
+            rng.integers(2 * a_lo, 2 * a_hi, size=x_rows)
+            if with_norths
+            else np.zeros(x_rows, dtype=np.int64)
+        )
+        got, got_cycles = wave.stream(
+            blocks, norths if with_norths else None, test4_mask=test4_mask
+        )
+        want, want_cycles = stepped_stream(ref, blocks, norths, test4_mask)
+        assert got.shape == want.shape == (x_rows, cfg.cols)
+        assert np.array_equal(got, want)
+        assert got_cycles == want_cycles == x_rows + cfg.rows + cfg.cols - 1
+        assert_same_state(wave, ref)
