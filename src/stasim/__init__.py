@@ -18,7 +18,15 @@ from stasim.arith import (
     wrap_mul,
     wrap_signed,
 )
-from stasim.array import ArrayConfig, FaultSite, RegClass, RegSpec, TensorArray, TpeState
+from stasim.array import (
+    ArrayConfig,
+    FaultLanes,
+    FaultSite,
+    RegClass,
+    RegSpec,
+    TensorArray,
+    TpeState,
+)
 from stasim.campaign import (
     CoverageReport,
     enumerate_faults,
@@ -40,6 +48,7 @@ from stasim.selftest import (
     VerdictKind,
     classify,
     compute_golden,
+    lane_session,
     locate_activation,
     run_session,
     session_vectors,
@@ -61,6 +70,7 @@ __all__ = [
     "ArrayConfig",
     "CoverageReport",
     "CycleStats",
+    "FaultLanes",
     "FaultSite",
     "GoldenReference",
     "Layer",
@@ -84,6 +94,7 @@ __all__ = [
     "force_signed",
     "force_unsigned",
     "is_bitwise_complement",
+    "lane_session",
     "locate_activation",
     "overhead_report",
     "pack_tile",

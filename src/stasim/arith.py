@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 
 def mask_of(width: int) -> int:
     """All-ones bit mask for ``width`` bits."""
@@ -25,6 +27,21 @@ def wrap_signed(value, width: int):
     """
     half = 1 << (width - 1)
     return ((value & mask_of(width)) ^ half) - half
+
+
+def check_signed_range(name: str, matrix, width: int) -> None:
+    """Reject a matrix with an entry outside the ``width``-bit signed range.
+
+    The message names the first offending entry by row and column.
+    """
+    matrix = np.asarray(matrix)
+    outside = wrap_signed(matrix, width) != matrix
+    if outside.any():
+        row, col = (int(i) for i in np.argwhere(outside)[0])
+        raise ValueError(
+            f"{name} row {row} column {col}: value {matrix[row, col]} outside "
+            f"{width}-bit signed range {-(1 << (width - 1))}..{(1 << (width - 1)) - 1}"
+        )
 
 
 def force_unsigned(value, width: int, bit: int, stuck: int):

@@ -20,6 +20,10 @@ A full stream of X input rows therefore takes ``X + R + C - 1`` cycles.
 Registers are rewritten every cycle, so ``stream`` computes wave by wave, with
 no clock loop; ``step`` advances one cycle and is the reference it is tested
 against.
+
+The same wave engine carries an optional fault-lane axis: ``stream_lanes``
+evaluates a batch of single faults in one pass, lane l seeing only fault l
+(parallel-pattern single-fault propagation), which is what campaigns run on.
 """
 
 from __future__ import annotations
@@ -27,10 +31,11 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
-from stasim.arith import Word, wrap_signed
+from stasim.arith import Word, check_signed_range, wrap_signed
 from stasim.sparsity import SparseWeightTile
 
 
@@ -182,12 +187,69 @@ class FaultSite:
                     f"for {self.reg_class.value}"
                 )
 
+    def mask_bits(self, config: ArrayConfig) -> tuple[int, int]:
+        """The (and, or) words this fault applies to its register's reads.
+
+        A signed register's sign bit drives its sign extension too, so a
+        stuck sign bit forces every bit from width-1 upward.
+        """
+        spec = config.reg_specs[self.reg_class]
+        if spec.signed and self.bit == spec.width - 1:
+            bits = -(1 << self.bit)
+        else:
+            bits = 1 << self.bit
+        return (-1, bits) if self.stuck else (~bits, 0)
+
     def spec(self) -> str:
         """Compact ``class:row:col:element:bit:stuck`` form."""
         return (
             f"{self.reg_class.value}:{self.row}:{self.col}:"
             f"{self.element}:{self.bit}:{self.stuck}"
         )
+
+
+def _identity_masks(shape) -> tuple[np.ndarray, np.ndarray]:
+    return np.full(shape, -1, dtype=np.int64), np.zeros(shape, dtype=np.int64)
+
+
+def _masked(masks, cls: RegClass, values: np.ndarray, at=...) -> np.ndarray:
+    """``values`` read as if latched in cells ``at`` of ``cls``, through ``masks``.
+
+    ``masks`` maps faulted classes to (and_mask, or_mask) pairs shaped like
+    the register file, optionally with a leading lane axis; ``at`` indexes
+    the trailing (rows, cols, elements) dimensions.  Data and accumulator
+    registers hold signed words; position-index registers hold unsigned
+    patterns, so a forced index can point past the block (selecting
+    nothing) but never goes negative.
+    """
+    pair = masks.get(cls)
+    if pair is None:
+        return values
+    and_mask, or_mask = pair
+    return (values & and_mask[at]) | or_mask[at]
+
+
+class FaultLanes:
+    """A batch of single-fault lanes for the wave engine.
+
+    Lane l carries exactly ``faults[l]``: ``masks`` maps every class some
+    lane faults to (and_mask, or_mask) arrays shaped (count, *spec.shape),
+    built by ``FaultSite.mask_bits`` and the identity in every other lane.
+    Classes no lane faults are absent, so their reads stay unmasked and are
+    computed once for all lanes.
+    """
+
+    def __init__(self, config: ArrayConfig, faults: Sequence[FaultSite]):
+        self.count = len(faults)
+        self.masks: dict[RegClass, tuple[np.ndarray, np.ndarray]] = {}
+        for lane, fault in enumerate(faults):
+            fault.validate(config)
+            if fault.reg_class not in self.masks:
+                shape = (self.count,) + config.reg_specs[fault.reg_class].shape
+                self.masks[fault.reg_class] = _identity_masks(shape)
+            and_mask, or_mask = self.masks[fault.reg_class]
+            cell = (lane, fault.row, fault.col, fault.element)
+            and_mask[cell], or_mask[cell] = fault.mask_bits(config)
 
 
 @dataclass(frozen=True)
@@ -243,42 +305,22 @@ class TensorArray:
                 f"fault {fault.spec()} conflicts with {opposite.spec()}: "
                 "one bit cannot be stuck at 0 and at 1"
             )
-        spec = self.config.reg_specs[fault.reg_class]
         and_mask, or_mask = self._masks.setdefault(
-            fault.reg_class,
-            (np.full(spec.shape, -1, dtype=np.int64), np.zeros(spec.shape, dtype=np.int64)),
+            fault.reg_class, _identity_masks(self.config.reg_specs[fault.reg_class].shape)
         )
-        # A signed register's sign bit drives its sign extension too, so a
-        # stuck sign bit forces every bit from width-1 upward.
-        if spec.signed and fault.bit == spec.width - 1:
-            bits = -(1 << fault.bit)
-        else:
-            bits = 1 << fault.bit
+        and_bits, or_bits = fault.mask_bits(self.config)
         cell = (fault.row, fault.col, fault.element)
-        if fault.stuck:
-            or_mask[cell] |= bits
-        else:
-            and_mask[cell] &= ~bits
+        and_mask[cell] &= and_bits
+        or_mask[cell] |= or_bits
         self._faults.append(fault)
 
     def clear_faults(self) -> None:
         self._faults.clear()
         self._masks.clear()
 
-    def _read(self, cls: RegClass, values=None, at=...) -> np.ndarray:
-        """Register-file read: stored bits through this class's fault masks.
-
-        Data and accumulator registers hold signed words; position-index
-        registers hold unsigned patterns, so a forced index can point past
-        the block (selecting nothing) but never goes negative.  ``values``
-        (default: the stored file) are read as if latched in cells ``at``.
-        """
-        if values is None:
-            values = self._regs[cls]
-        masks = self._masks.get(cls)
-        if masks is None:
-            return values
-        return (values & masks[0][at]) | masks[1][at]
+    def _read(self, cls: RegClass) -> np.ndarray:
+        """Register-file read: stored bits through the injected faults' masks."""
+        return _masked(self._masks, cls, self._regs[cls])
 
     # -- weight loading ----------------------------------------------------
 
@@ -300,21 +342,28 @@ class TensorArray:
 
     # -- datapath ----------------------------------------------------------
 
-    def _multiply(self, act: np.ndarray, test4_mask: bool) -> np.ndarray:
+    def _multiply(self, masks, act: np.ndarray, test4_mask: bool) -> np.ndarray:
         """Multiply phase on read activation blocks ``act`` (..., rows, cols, m).
 
         Each active slot multiplies its weight by the element its index
         register (or the test-4 forced pattern) selects; an index past the
-        block selects nothing.  Returns the per-TPE sums.
+        block selects nothing.  Weights and indexes are read through
+        ``masks``.  Returns the per-TPE sums.
         """
         cfg = self.config
         k = cfg.active_slots
-        sel = self._forced_sel if test4_mask else self._read(RegClass.WEIGHT_INDEX)
+        if test4_mask:
+            sel = self._forced_sel
+        else:
+            sel = _masked(masks, RegClass.WEIGHT_INDEX, self._regs[RegClass.WEIGHT_INDEX])
         picks = sel[..., :k, None] == np.arange(cfg.m)
+        weights = _masked(masks, RegClass.WEIGHT, self._regs[RegClass.WEIGHT])
         # Each element's weight is the sum of the weights of the slots that
         # select it, so one product per element covers every slot.
-        element_weights = (self._read(RegClass.WEIGHT)[..., :k, None] * picks).sum(axis=2)
-        return (act * element_weights).sum(axis=-1)
+        element_weights = (weights[..., :k, None] * picks).sum(axis=-2)
+        # Integer einsum wraps like ``(act * element_weights).sum(-1)`` but
+        # builds no product temporary.
+        return np.einsum("...m,...m->...", act, element_weights)
 
     def step(self, west_inputs=None, north_sums=None, test4_mask: bool = False):
         """Advance one clock cycle; returns the previous cycle's south outputs.
@@ -353,7 +402,7 @@ class TensorArray:
         new_act[:, 0, :] = west
         self._regs[RegClass.ACTIVATION] = new_act
 
-        contrib = self._multiply(self._read(RegClass.ACTIVATION), test4_mask)
+        contrib = self._multiply(self._masks, self._read(RegClass.ACTIVATION), test4_mask)
 
         # Accumulate phase: add the north neighbour's previous-cycle output
         # (or the north port for row 0) and latch.
@@ -367,21 +416,16 @@ class TensorArray:
         self.cycles += 1
         return south
 
-    def stream(self, blocks, north_values=None, test4_mask: bool = False):
-        """Feed X input rows with systolic skew and collect finished sums.
+    def _wave_inputs(self, blocks, north_values, bubbles: int):
+        """Wrapped (west blocks, north values) per wave, for the engine.
 
-        ``blocks`` has shape (X, rows, m): the per-array-row activation block
-        of each input row.  ``north_values[x]`` rides along with input row x
-        and reaches each column's north port exactly when that row's wave
-        arrives there.  Returns (results, cycles) where results[x, j] is the
-        column-j sum for input row x and cycles == X + rows + cols - 1.
+        The stream's X waves come first, then ``bubbles`` zero waves.
         """
         cfg = self.config
-        r, c = cfg.rows, cfg.cols
         blocks = np.asarray(blocks, dtype=np.int64)
-        if blocks.ndim != 3 or blocks.shape[1:] != (r, cfg.m):
+        if blocks.ndim != 3 or blocks.shape[1:] != (cfg.rows, cfg.m):
             raise ValueError(
-                f"blocks must have shape (X, {r}, {cfg.m}), got {blocks.shape}"
+                f"blocks must have shape (X, {cfg.rows}, {cfg.m}), got {blocks.shape}"
             )
         x_rows = blocks.shape[0]
         if north_values is None:
@@ -394,32 +438,82 @@ class TensorArray:
         if not self.weights_loaded:
             raise RuntimeError("weights must be loaded before streaming through the array")
 
-        # Wave x meets TPE (r, c) at cycle x + r + c.  One trailing bubble
-        # wave (zero block, zero north value) is appended: once the stream
-        # drains, it is what every TPE's registers hold.
-        waves = x_rows + 1
-        act = np.zeros((waves, r, cfg.m), dtype=np.int64)
+        waves = x_rows + bubbles
+        act = np.zeros((waves, cfg.rows, cfg.m), dtype=np.int64)
         act[:x_rows] = wrap_signed(blocks, cfg.data_width)
-        seen = np.empty((waves, r, c, cfg.m), dtype=np.int64)
-        for j in range(c):
-            self._regs[RegClass.ACTIVATION][:, j] = act[-1]
+        psum = np.zeros((waves, cfg.cols), dtype=np.int64)
+        psum[:x_rows] = wrap_signed(norths, cfg.acc_width)[:, None]
+        return act, psum
+
+    def _wavefront(self, masks, act: np.ndarray, psum: np.ndarray, test4_mask: bool):
+        """The wave engine: every wave of a skewed stream, with no clock loop.
+
+        Wave x meets TPE (r, c) at cycle x + r + c, and registers are
+        rewritten every cycle, so a stuck bit only touches the waves passing
+        through it.  ``act`` (waves, ..., rows, m) holds the west blocks and
+        ``psum`` (waves, ..., cols) the north values; ``masks`` are read as
+        ``_masked`` reads them.  A lane axis of size 1 after the waves spreads
+        to the masks' lane axis wherever a faulted class is read.  Returns
+        (south sums, the activation blocks each column read, and per row the
+        last wave's latched partial sums with a wave axis of 1).
+        """
+        cfg = self.config
+        latched_out = []
+        for j in range(cfg.cols):
             # The hop east reads this column's register, stuck bits included.
-            act = self._read(RegClass.ACTIVATION, act, np.s_[:, j])
-            seen[:, :, j] = act
-        contrib = self._multiply(seen, test4_mask)
+            act = _masked(masks, RegClass.ACTIVATION, act, np.s_[..., j, :])
+            if j == 0:  # the first read fixes the lane axis
+                seen = np.empty(act.shape[:-1] + (cfg.cols, cfg.m), dtype=np.int64)
+            seen[..., j, :] = act
+        contrib = self._multiply(masks, seen, test4_mask)
 
         # Partial sums cascade south; the row below reads each row's output
         # register, stuck bits included.
-        psum = np.zeros((waves, c), dtype=np.int64)
-        psum[:x_rows] = wrap_signed(norths, cfg.acc_width)[:, None]
-        for i in range(r):
-            psum = wrap_signed(psum + contrib[:, i], cfg.acc_width)
-            self._regs[RegClass.OUTPUT][i, :, 0] = psum[-1]
-            psum = self._read(RegClass.OUTPUT, psum, np.s_[i, :, 0])
+        for i in range(cfg.rows):
+            psum = wrap_signed(psum + contrib[..., i, :], cfg.acc_width)
+            latched_out.append(psum[-1:])
+            psum = _masked(masks, RegClass.OUTPUT, psum, np.s_[..., i, :, 0])
+        return psum, seen, latched_out
 
-        total = x_rows + r + c - 1
+    def stream(self, blocks, north_values=None, test4_mask: bool = False):
+        """Feed X input rows with systolic skew and collect finished sums.
+
+        ``blocks`` has shape (X, rows, m): the per-array-row activation block
+        of each input row.  ``north_values[x]`` rides along with input row x
+        and reaches each column's north port exactly when that row's wave
+        arrives there.  Returns (results, cycles) where results[x, j] is the
+        column-j sum for input row x and cycles == X + rows + cols - 1.
+        """
+        cfg = self.config
+        # One trailing bubble wave (zero block, zero north value) is
+        # appended: once the stream drains, it is what every TPE's
+        # registers hold.
+        act, psum = self._wave_inputs(blocks, north_values, bubbles=1)
+        south, seen, latched_out = self._wavefront(self._masks, act, psum, test4_mask)
+        # Column j latches what column j-1 passed on; column 0 the bubble.
+        self._regs[RegClass.ACTIVATION][:, 0] = 0
+        self._regs[RegClass.ACTIVATION][:, 1:] = seen[-1, :, :-1]
+        self._regs[RegClass.OUTPUT][..., 0] = np.concatenate(latched_out)
+
+        x_rows = len(south) - 1
+        total = x_rows + cfg.rows + cfg.cols - 1
         self.cycles += total
-        return psum[:x_rows], total
+        return south[:x_rows], total
+
+    def stream_lanes(
+        self, lanes: FaultLanes, blocks, north_values=None, test4_mask: bool = False
+    ) -> np.ndarray:
+        """``stream`` once per fault lane, in one pass of the wave engine.
+
+        Lane l sees the loaded weights and only its own fault; the faults
+        injected into this array are not applied.  Returns results of shape
+        (X, lanes.count, cols), where results[:, l] is what ``stream``
+        returns with lane l's fault alone injected.  Registers and the cycle
+        count are left untouched.
+        """
+        act, psum = self._wave_inputs(blocks, north_values, bubbles=0)
+        south, _, _ = self._wavefront(lanes.masks, act[:, None], psum[:, None], test4_mask)
+        return np.broadcast_to(south, (len(south), lanes.count, self.config.cols))
 
     def run_compute(self, a):
         """Stream the rows of ``a`` (X x rows*m) through the loaded weights.
@@ -427,6 +521,7 @@ class TensorArray:
         Returns (results, cycles): results is the X x cols product of ``a``
         with the pruned dense weights, computed wave by wave through the
         array's (possibly faulty) registers; cycles is X + rows + cols - 1.
+        Activations outside the signed ``data_width`` range are rejected.
         """
         cfg = self.config
         a = np.asarray(a, dtype=np.int64)
@@ -434,6 +529,7 @@ class TensorArray:
             raise ValueError(
                 f"activation matrix must be (X, {cfg.block_rows}), got {a.shape}"
             )
+        check_signed_range("activation", a, cfg.data_width)
         blocks = a.reshape(a.shape[0], cfg.rows, cfg.m)
         return self.stream(blocks)
 
@@ -452,8 +548,22 @@ class TensorArray:
         if raw.shape != (cfg.cols,) or gold.shape != (cfg.cols,):
             raise ValueError(f"edge comparison needs {cfg.cols} values per side")
         self._regs[RegClass.EDGE_ACCUMULATOR][0, :, 0] = raw
-        edge = self._read(RegClass.EDGE_ACCUMULATOR)[0, :, 0]
-        return wrap_signed(edge + gold, cfg.acc_width)
+        return self._edge_sum(self._masks, raw, gold)
+
+    def edge_compare_lanes(self, lanes: FaultLanes, raw_sums, golden) -> np.ndarray:
+        """``edge_compare`` once per fault lane, without latching anything.
+
+        ``raw_sums`` (..., lanes.count, cols) pass through each lane's own
+        edge accumulators; ``golden`` broadcasts against them.
+        """
+        acc = self.config.acc_width
+        raw = wrap_signed(np.asarray(raw_sums, dtype=np.int64), acc)
+        gold = wrap_signed(np.asarray(golden, dtype=np.int64), acc)
+        return self._edge_sum(lanes.masks, raw, gold)
+
+    def _edge_sum(self, masks, raw: np.ndarray, gold: np.ndarray) -> np.ndarray:
+        edge = _masked(masks, RegClass.EDGE_ACCUMULATOR, raw, np.s_[..., 0, :, 0])
+        return wrap_signed(edge + gold, self.config.acc_width)
 
     def output_registers(self) -> np.ndarray:
         """Forced read of all output registers (rows x cols)."""

@@ -1,17 +1,20 @@
 """Stuck-at fault campaigns: enumerate, inject, measure coverage.
 
 A campaign walks the whole single-fault universe of an array configuration.
-Each fault gets a fresh fault state on its own array; the workload's tiles
-are then visited in order, running one self-test session per tile, and the
-first session that flags anything records the detection tile.  Coverage is
-the detected fraction; the cumulative curve tracks it tile by tile.
+Every fault is judged on its own, as if alone on a fresh array: the
+workload's tiles are visited in order, one self-test session per tile, and
+the first session that flags anything records the detection tile.  Coverage
+is the detected fraction; the cumulative curve tracks it tile by tile.
 
 Optionally the campaign checks, per detected fault, that the session verdict
 names the injected register class, and, per undetected fault, whether the
 fault is actually harmless (bit-identical matmul results on random inputs).
 
-Campaigns run in the calling process, one fault after another; there is no
-worker pool.
+Faults are evaluated in fault lanes (parallel-pattern single-fault
+propagation): a chunk of faults, one per lane, shares each pass of the wave
+engine, detected lanes drop out after every tile and only the survivors go
+on to the next one.  Sessions are classified only for the lanes they
+detect.  Everything runs in the calling process; there is no worker pool.
 """
 
 from __future__ import annotations
@@ -23,15 +26,22 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from stasim.array import ArrayConfig, FaultSite, RegClass, TensorArray
+from stasim.array import ArrayConfig, FaultLanes, FaultSite, RegClass, TensorArray
 from stasim.selftest import (
+    EXPECTED_COMPARED,
     GoldenReference,
-    TestReport,
+    Verdict,
     VerdictKind,
+    classify,
     compute_golden,
-    run_session,
+    lane_session,
 )
 from stasim.sparsity import SparseWeightTile, pack_tile
+
+#: Elements (lanes x waves x rows x cols x m) one lane pass may hold in each
+#: of its temporaries.  It sets how many faults share a pass, and so bounds
+#: the campaign's memory whatever the array size or fault count.
+LANE_BUDGET = 1 << 13
 
 
 def enumerate_faults(config: ArrayConfig) -> list[FaultSite]:
@@ -66,12 +76,8 @@ def random_tiles(
     return tiles
 
 
-def _test_flags(report: TestReport) -> tuple[bool, bool, bool, bool]:
-    return tuple(bool(report.failing_columns(t)) for t in range(4))
-
-
 def _classification_outcome(
-    fault: FaultSite, report: TestReport
+    fault: FaultSite, compared: np.ndarray, verdicts: tuple[Verdict, ...]
 ) -> Optional[bool]:
     """Did the verdict name the injected class?  None when unconstrained.
 
@@ -81,8 +87,8 @@ def _classification_outcome(
     contain the injected column); any other signature leaves the verdict
     unconstrained.
     """
-    verdicts = report.verdicts
-    t1f, t2f, t3f, t4f = _test_flags(report)
+    expected = np.array(EXPECTED_COMPARED, dtype=np.int64)[:, None]
+    t1f, t2f, t3f, t4f = (np.asarray(compared) != expected).any(axis=1)
     cls = fault.reg_class
     if cls is RegClass.WEIGHT:
         return verdicts[fault.col].kind is VerdictKind.WEIGHT_REGISTER
@@ -112,16 +118,17 @@ def _harmless_harness(
     rows_per_input: int,
     seed: int,
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Per tile: stacked random activations and their fault-free outputs.
+    """Per tile: stacked random activation blocks and their fault-free outputs.
 
     The random matrices are stacked into one stream because streamed rows
     never interact; one pass over the stack equals one pass per matrix.
     """
     rng = np.random.default_rng(seed)
     lo, hi = -(1 << (config.data_width - 1)), 1 << (config.data_width - 1)
+    x_rows = inputs * rows_per_input
     stacks = [
-        rng.integers(
-            lo, hi, size=(inputs * rows_per_input, config.block_rows), dtype=np.int64
+        rng.integers(lo, hi, size=(x_rows, config.block_rows), dtype=np.int64).reshape(
+            x_rows, config.rows, config.m
         )
         for _ in tiles
     ]
@@ -129,9 +136,34 @@ def _harmless_harness(
     clean = []
     for tile, stack in zip(tiles, stacks):
         array.load_weights(tile)
-        out, _ = array.run_compute(stack)
+        out, _ = array.stream(stack)
         clean.append(out)
     return stacks, clean
+
+
+def _sweep(array, tiles, faults, ids, waves, settle) -> list[int]:
+    """Walk ``faults[i]`` for ``i`` in ``ids`` through ``tiles`` in fault lanes.
+
+    Per tile, the faults still live are cut into chunks of as many lanes as
+    ``LANE_BUDGET`` allows for passes of ``waves`` waves, and
+    ``settle(tile index, lanes, lane ids)`` returns one flag per lane of a
+    chunk: flagged lanes drop out, the rest go on to the next tile.  Returns
+    the ids no tile settled, in order.
+    """
+    cfg = array.config
+    per_pass = max(1, LANE_BUDGET // (max(waves, 1) * cfg.rows * cfg.cols * cfg.m))
+    live = list(ids)
+    for ti, tile in enumerate(tiles):
+        if not live:
+            break
+        array.load_weights(tile)
+        left = []
+        for start in range(0, len(live), per_pass):
+            chunk = live[start : start + per_pass]
+            settled = settle(ti, FaultLanes(cfg, [faults[i] for i in chunk]), chunk)
+            left.extend(i for i, done in zip(chunk, settled) if not done)
+        live = left
+    return live
 
 
 def _evaluate_faults(
@@ -144,32 +176,39 @@ def _evaluate_faults(
 ) -> list[tuple[Optional[int], Optional[bool], Optional[bool]]]:
     """Outcome triple (detection tile, classification ok, harmless) per fault."""
     array = TensorArray(config)
-    outcomes = []
-    for fault in faults:
-        array.clear_faults()
-        array.inject(fault)
-        detected_tile: Optional[int] = None
-        classification_ok: Optional[bool] = None
-        harmless: Optional[bool] = None
-        for ti, (tile, golden) in enumerate(zip(tiles, goldens)):
-            array.load_weights(tile)
-            report = run_session(array, golden, tile_id=f"tile{ti}")
-            if report.detected:
-                detected_tile = ti
-                if verify_classification:
-                    classification_ok = _classification_outcome(fault, report)
-                break
-        if detected_tile is None and harness is not None:
-            stacks, clean = harness
-            harmless = True
-            for tile, stack, want in zip(tiles, stacks, clean):
-                array.load_weights(tile)
-                got, _ = array.run_compute(stack)
-                if not np.array_equal(got, want):
-                    harmless = False
-                    break
-        outcomes.append((detected_tile, classification_ok, harmless))
-    return outcomes
+    detected_tile: list[Optional[int]] = [None] * len(faults)
+    classification_ok: list[Optional[bool]] = [None] * len(faults)
+    harmless: list[Optional[bool]] = [None] * len(faults)
+    expected = np.array(EXPECTED_COMPARED, dtype=np.int64)[:, None, None]
+
+    def detect(ti, lanes, live):
+        raw, compared = lane_session(array, goldens[ti], lanes)
+        hits = (compared != expected).any(axis=(0, 2))
+        for lane in np.flatnonzero(hits):
+            fi = live[lane]
+            detected_tile[fi] = ti
+            if verify_classification:
+                verdicts = classify(raw[:, lane], compared[:, lane], goldens[ti])
+                classification_ok[fi] = _classification_outcome(
+                    faults[fi], compared[:, lane], verdicts
+                )
+        return hits
+
+    # Budgeted on the session's four test vectors.
+    undetected = _sweep(array, tiles, faults, range(len(faults)), 4, detect)
+
+    if harness is not None:
+        stacks, clean = harness
+
+        def differs(ti, lanes, live):
+            got = array.stream_lanes(lanes, stacks[ti])
+            return (got != clean[ti][:, None]).any(axis=(0, 2))
+
+        for fi in undetected:
+            harmless[fi] = False
+        for fi in _sweep(array, tiles, faults, undetected, len(stacks[0]), differs):
+            harmless[fi] = True
+    return list(zip(detected_tile, classification_ok, harmless))
 
 
 @dataclass

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from stasim.arith import wrap_signed
+from stasim.arith import check_signed_range, wrap_signed
 from stasim.array import ArrayConfig, FaultSite, TensorArray
 from stasim.selftest import TestReport, compute_golden, run_session
 from stasim.sparsity import pack_tile
@@ -62,11 +62,6 @@ class CycleStats:
         }
 
 
-def _check_fits(name: str, arr: np.ndarray, width: int) -> None:
-    if np.any(wrap_signed(arr, width) != arr):
-        raise ValueError(f"{name} values exceed {width}-bit signed range")
-
-
 def tiled_matmul(
     workload: Workload,
     config: ArrayConfig,
@@ -95,8 +90,8 @@ def tiled_matmul(
             raise ValueError(
                 f"layer {li}: shapes {a.shape} x {w.shape} do not chain"
             )
-        _check_fits(f"layer {li} activation", a, config.data_width)
-        _check_fits(f"layer {li} weight", w, config.data_width)
+        check_signed_range(f"layer {li} activation", a, config.data_width)
+        check_signed_range(f"layer {li} weight", w, config.data_width)
         x_rows, k_depth = a.shape
         c_total = w.shape[1]
         k_tiles = -(-k_depth // br)

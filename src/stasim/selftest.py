@@ -21,7 +21,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from stasim.arith import mask_of, wrap_signed
-from stasim.array import ArrayConfig, TensorArray
+from stasim.array import ArrayConfig, FaultLanes, TensorArray
 from stasim.sparsity import SparseWeightTile
 
 #: Column sums a healthy array produces after golden addition, per test.
@@ -236,6 +236,26 @@ class TestReport:
         return json.dumps(self.to_dict(), **kwargs)
 
 
+def _session_passes(config: ArrayConfig):
+    """The session's streams, as (blocks, north values, test4_mask) each.
+
+    Tests 1-3 share one pipelined pass; test 4 runs as a second pass because
+    its index-override signal applies array-wide per cycle and must not
+    overlap earlier waves still in flight.
+    """
+    blocks = np.stack([np.tile(v, (config.rows, 1)) for v in session_vectors(config.m)])
+    norths = np.array(TOP_SUMS, dtype=np.int64)
+    return ((blocks[:3], norths[:3], False), (blocks[3:], norths[3:], True))
+
+
+def _check_session(array: TensorArray, golden: GoldenReference) -> None:
+    cfg = array.config
+    if not array.weights_loaded:
+        raise RuntimeError("load a weight tile before running a self-test session")
+    if golden.cols != cfg.cols or golden.m != cfg.m:
+        raise ValueError("golden reference does not match the array geometry")
+
+
 def run_session(
     array: TensorArray,
     golden: GoldenReference,
@@ -243,27 +263,13 @@ def run_session(
 ) -> TestReport:
     """Run the four-test session against the currently loaded tile.
 
-    Tests 1-3 share one pipelined pass; test 4 runs as a second pass because
-    its index-override signal applies array-wide per cycle and must not
-    overlap earlier waves still in flight.  Occupancy accounting is the
-    driver's business: a session costs exactly four initiation cycles there,
-    since drain overlaps resumed streaming.
+    Occupancy accounting is the driver's business: a session costs exactly
+    four initiation cycles there, since drain overlaps resumed streaming.
     """
-    cfg = array.config
-    if not array.weights_loaded:
-        raise RuntimeError("load a weight tile before running a self-test session")
-    if golden.cols != cfg.cols or golden.m != cfg.m:
-        raise ValueError("golden reference does not match the array geometry")
-
-    vectors = session_vectors(cfg.m)
-    tiled = [np.tile(v, (cfg.rows, 1)) for v in vectors]
-    first_pass, _ = array.stream(
-        np.stack(tiled[:3]), np.array(TOP_SUMS[:3], dtype=np.int64)
+    _check_session(array, golden)
+    raw = np.vstack(
+        [array.stream(b, n, test4_mask=t4)[0] for b, n, t4 in _session_passes(array.config)]
     )
-    second_pass, _ = array.stream(
-        tiled[3][None, :, :], np.array(TOP_SUMS[3:], dtype=np.int64), test4_mask=True
-    )
-    raw = np.vstack([first_pass, second_pass])
     compared = np.stack(
         [array.edge_compare(raw[t], golden.per_test[t]) for t in range(4)]
     )
@@ -277,3 +283,22 @@ def run_session(
         detected=detected,
         verdicts=verdicts,
     )
+
+
+def lane_session(
+    array: TensorArray, golden: GoldenReference, lanes: FaultLanes
+) -> tuple[np.ndarray, np.ndarray]:
+    """``run_session``'s raw and compared sums once per fault lane.
+
+    Returns (raw, compared), each (4, lanes.count, cols); lane l is what a
+    session reports with only lane l's fault injected.  Nothing is
+    classified, and registers and the cycle count are left untouched.
+    """
+    _check_session(array, golden)
+    raw = np.concatenate(
+        [
+            array.stream_lanes(lanes, b, n, test4_mask=t4)
+            for b, n, t4 in _session_passes(array.config)
+        ]
+    )
+    return raw, array.edge_compare_lanes(lanes, raw, golden.per_test[:, None])

@@ -75,6 +75,10 @@ class SparseWeightTile:
 
     def __post_init__(self) -> None:
         m, n = self.m, self.n
+        if not 1 <= n <= m:
+            raise ValueError(f"tile needs 1 <= n <= m, got n={n} m={m}")
+        if not 2 <= self.data_width <= 30:
+            raise ValueError(f"tile data_width {self.data_width} outside supported 2..30")
         lo, hi = -(1 << (self.data_width - 1)), (1 << (self.data_width - 1)) - 1
         for i, row in enumerate(self.blocks):
             if len(row) != self.grid_cols:

@@ -287,6 +287,22 @@ def test_weight_fault_visible_in_readback():
     assert array.tpe_state(0, 0).weights[0].signed == 3
 
 
+def test_run_compute_rejects_out_of_range_activations():
+    array = TensorArray(ArrayConfig(rows=1, cols=1))
+    array.load_weights(single_tpe_tile([1, 0], [0, 1]))
+    with pytest.raises(
+        ValueError, match=r"activation row 0 column 0: value 40000 outside 16-bit"
+    ):
+        array.run_compute([[40000, 0, 0, 0]])
+    with pytest.raises(ValueError, match=r"row 1 column 2: value -32769 outside"):
+        array.run_compute([[0, 0, 0, 0], [0, 0, -32769, 0]])
+    out, _ = array.run_compute([[32767, 0, 0, 0], [-32768, 0, 0, 0]])
+    assert out.tolist() == [[32767], [-32768]]
+    # The stream keeps its wire-width wrap.
+    wrapped, _ = array.stream([[[40000, 0, 0, 0]]])
+    assert wrapped.tolist() == [[-25536]]
+
+
 def test_output_fault_forces_latched_sums():
     cfg = ArrayConfig(rows=1, cols=1)
     array = TensorArray(cfg)

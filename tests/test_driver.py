@@ -148,7 +148,7 @@ def test_shape_and_range_validation():
     too_wide = Workload(
         [Layer(np.full((2, 8), 1 << 20, dtype=np.int64), np.ones((8, 4), dtype=np.int64))]
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"layer 0 activation row 0 column 0: value 1048576"):
         tiled_matmul(too_wide, cfg)
 
 

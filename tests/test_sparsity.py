@@ -216,6 +216,24 @@ def test_tile_construction_checks_entries(blocks, message):
         SparseWeightTile(blocks=blocks, m=4, n=2, data_width=16)
 
 
+@pytest.mark.parametrize(
+    "m, n, data_width, message",
+    [
+        (4, 2, 0, r"tile data_width 0 outside supported 2\.\.30"),
+        (4, 2, 31, r"tile data_width 31 outside"),
+        (0, 0, 16, r"tile needs 1 <= n <= m, got n=0 m=0"),
+        (2, 3, 16, r"tile needs 1 <= n <= m, got n=3 m=2"),
+    ],
+    ids=["data_width-0", "data_width-31", "m-n-0", "n-above-m"],
+)
+def test_tile_checks_its_parameters(m, n, data_width, message):
+    data = {"m": m, "n": n, "data_width": data_width, "blocks": []}
+    with pytest.raises(ValueError, match=message):
+        SparseWeightTile.from_dict(data)
+    with pytest.raises(ValueError, match=message):
+        SparseWeightTile(blocks=(), m=m, n=n, data_width=data_width)
+
+
 def test_csv_round_trip(tmp_path):
     rng = np.random.default_rng(43)
     w = rng.integers(-32768, 32768, size=(10, 7))
