@@ -11,11 +11,8 @@ from stasim.arith import (
     Word,
     bit_not,
     force_bit,
-    force_signed,
-    force_unsigned,
     is_bitwise_complement,
     wrap_add,
-    wrap_mul,
     wrap_signed,
 )
 from stasim.array import (
@@ -58,7 +55,6 @@ from stasim.sparsity import (
     SparseWeightTile,
     densify,
     pack_tile,
-    prune_to_nm,
     read_matrix_csv,
     validate_nm,
     write_matrix_csv,
@@ -91,14 +87,11 @@ __all__ = [
     "densify",
     "enumerate_faults",
     "force_bit",
-    "force_signed",
-    "force_unsigned",
     "is_bitwise_complement",
     "lane_session",
     "locate_activation",
     "overhead_report",
     "pack_tile",
-    "prune_to_nm",
     "random_tiles",
     "read_matrix_csv",
     "run_campaign",
@@ -108,7 +101,6 @@ __all__ = [
     "tiled_matmul",
     "validate_nm",
     "wrap_add",
-    "wrap_mul",
     "wrap_signed",
     "write_matrix_csv",
     "__version__",

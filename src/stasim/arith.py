@@ -2,8 +2,8 @@
 
 Every register and datapath value in the simulator is a fixed-width
 two's-complement integer.  This module defines the scalar ``Word`` type plus
-the wrap/force primitives; the polymorphic helpers accept plain ints and
-numpy integer arrays alike.  The array core applies the same stuck-at
+the wrap and range-check primitives; the polymorphic helpers accept plain
+ints and numpy integer arrays alike.  The array core applies the same stuck-at
 semantics to whole register files as AND/OR masks.
 """
 
@@ -29,40 +29,38 @@ def wrap_signed(value, width: int):
     return ((value & mask_of(width)) ^ half) - half
 
 
+def outside_range(values, lo, hi) -> np.ndarray:
+    """Mask of the entries of ``values`` that are not integers in ``lo..hi``.
+
+    Entries that are not numbers at all count as outside.
+    """
+    values = np.asarray(values)
+    try:
+        inside = (values >= lo) & (values <= hi)
+        if not np.issubdtype(values.dtype, np.integer):
+            with np.errstate(invalid="ignore"):  # inf % 1 is NaN: not an integer
+                inside &= values % 1 == 0
+    except TypeError:
+        return np.ones(values.shape, dtype=bool)
+    return ~inside
+
+
 def check_signed_range(name: str, matrix, width: int) -> None:
-    """Reject a matrix with an entry outside the ``width``-bit signed range.
+    """Reject a matrix with an entry that is not an integer in the
+    ``width``-bit signed range.
 
     The message names the first offending entry by row and column.
     """
     matrix = np.asarray(matrix)
-    outside = wrap_signed(matrix, width) != matrix
+    lo, hi = -(1 << (width - 1)), (1 << (width - 1)) - 1
+    outside = outside_range(matrix, lo, hi)
     if outside.any():
         row, col = (int(i) for i in np.argwhere(outside)[0])
-        raise ValueError(
-            f"{name} row {row} column {col}: value {matrix[row, col]} outside "
-            f"{width}-bit signed range {-(1 << (width - 1))}..{(1 << (width - 1)) - 1}"
-        )
-
-
-def force_unsigned(value, width: int, bit: int, stuck: int):
-    """Unsigned ``width``-bit pattern of ``value`` with ``bit`` forced to ``stuck``.
-
-    The stuck-at fault primitive for registers whose content is a plain bit
-    pattern rather than a signed quantity (the position-index registers).
-    """
-    bits = value & mask_of(width)
-    if stuck:
-        return bits | (1 << bit)
-    return bits & ~(1 << bit)
-
-
-def force_signed(value, width: int, bit: int, stuck: int):
-    """Signed value whose ``width``-bit pattern has ``bit`` forced to ``stuck``.
-
-    This is the stuck-at fault primitive: it models a register cell whose
-    output line is tied to 0 or 1, applied at read time.
-    """
-    return wrap_signed(force_unsigned(value, width, bit, stuck), width)
+        value = matrix[row, col]
+        where = f"{name} row {row} column {col}: value {value}"
+        if outside_range(value, -np.inf, np.inf):
+            raise ValueError(f"{where} is not an integer")
+        raise ValueError(f"{where} outside {width}-bit signed range {lo}..{hi}")
 
 
 @dataclass(frozen=True)
@@ -104,16 +102,6 @@ def wrap_add(a: Word, b: Word) -> Word:
     """Sum modulo 2**width, like the array's accumulation adders."""
     _require_same_width(a, b)
     return Word(a.width, (a.bits + b.bits) & mask_of(a.width))
-
-
-def wrap_mul(a: Word, b: Word, out_width: int) -> Word:
-    """Signed product, sign-extended and wrapped to ``out_width`` bits."""
-    _require_same_width(a, b)
-    if out_width < a.width:
-        raise ValueError(
-            f"product width {out_width} narrower than operand width {a.width}"
-        )
-    return Word.from_signed(a.signed * b.signed, out_width)
 
 
 def bit_not(a: Word) -> Word:

@@ -36,7 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from stasim.arith import Word, check_signed_range, wrap_signed
-from stasim.sparsity import SparseWeightTile
+from stasim.sparsity import SparseWeightTile, pack_tile
 
 
 class RegClass(str, Enum):
@@ -135,6 +135,22 @@ class ArrayConfig:
             RegClass.OUTPUT: RegSpec((r, c, 1), self.acc_width, True),
             RegClass.EDGE_ACCUMULATOR: RegSpec((1, c, 1), self.acc_width, True),
         }
+
+    def pack(self, dense) -> SparseWeightTile:
+        """Prune and pack a dense weight matrix for this array.
+
+        The active slots keep the ``active_slots`` largest magnitudes of each
+        block (``pack_tile``'s rule); slots the mode gates hold (0, 0).
+        """
+        tile = pack_tile(dense, self.m, self.active_slots, self.data_width)
+        gated = ((0, 0), (0, 0), (0, self.n - self.active_slots))
+        return SparseWeightTile(
+            np.pad(tile.values, gated),
+            np.pad(tile.indexes, gated),
+            m=self.m,
+            n=self.n,
+            data_width=self.data_width,
+        )
 
     def check_tile(self, tile: SparseWeightTile) -> None:
         """Reject a tile whose grid, packing or data width differs from ours."""
@@ -332,9 +348,8 @@ class TensorArray:
         """
         cfg = self.config
         cfg.check_tile(tile)
-        vals, idxs = tile.as_arrays()
-        self._regs[RegClass.WEIGHT][:] = vals
-        self._regs[RegClass.WEIGHT_INDEX][:] = idxs
+        self._regs[RegClass.WEIGHT][:] = tile.values
+        self._regs[RegClass.WEIGHT_INDEX][:] = tile.indexes
         for cls in (RegClass.ACTIVATION, RegClass.OUTPUT, RegClass.EDGE_ACCUMULATOR):
             self._regs[cls][:] = 0
         self.weights_loaded = True
@@ -521,10 +536,11 @@ class TensorArray:
         Returns (results, cycles): results is the X x cols product of ``a``
         with the pruned dense weights, computed wave by wave through the
         array's (possibly faulty) registers; cycles is X + rows + cols - 1.
-        Activations outside the signed ``data_width`` range are rejected.
+        Activations that are not integers in the signed ``data_width`` range
+        are rejected.
         """
         cfg = self.config
-        a = np.asarray(a, dtype=np.int64)
+        a = np.asarray(a)
         if a.ndim != 2 or a.shape[1] != cfg.block_rows:
             raise ValueError(
                 f"activation matrix must be (X, {cfg.block_rows}), got {a.shape}"

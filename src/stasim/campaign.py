@@ -36,7 +36,7 @@ from stasim.selftest import (
     compute_golden,
     lane_session,
 )
-from stasim.sparsity import SparseWeightTile, pack_tile
+from stasim.sparsity import SparseWeightTile
 
 #: Elements (lanes x waves x rows x cols x m) one lane pass may hold in each
 #: of its temporaries.  It sets how many faults share a pass, and so bounds
@@ -72,7 +72,7 @@ def random_tiles(
     tiles = []
     for _ in range(count):
         dense = rng.integers(lo, hi, size=config.tile_shape, dtype=np.int64)
-        tiles.append(pack_tile(dense, config.m, config.n, config.data_width))
+        tiles.append(config.pack(dense))
     return tiles
 
 

@@ -20,12 +20,7 @@ from stasim.array import ArrayConfig, FaultSite, RegClass, TensorArray
 from stasim.campaign import random_tiles, run_campaign
 from stasim.driver import Layer, Workload, tiled_matmul
 from stasim.selftest import compute_golden, run_session
-from stasim.sparsity import (
-    densify,
-    pack_tile,
-    read_matrix_csv,
-    write_matrix_csv,
-)
+from stasim.sparsity import densify, read_matrix_csv, write_matrix_csv
 
 _CONFIG_KEYS = ("rows", "cols", "m", "n", "data_width", "acc_width", "mode", "seed")
 
@@ -123,16 +118,18 @@ def resolve_config(args) -> tuple[ArrayConfig, int]:
 def cmd_prune(args) -> int:
     config, _ = resolve_config(args)
     dense = read_matrix_csv(args.weights)
-    tile = pack_tile(dense, config.m, config.n, config.data_width)
+    tile = config.pack(dense)
+    mask = densify(tile) != 0
+    # One keep/drop bit string per block; blocks[i, j] is block (i, j).
+    blocks = mask.reshape(tile.grid_rows, tile.m, -1).transpose(0, 2, 1)
     payload = tile.to_dict()
     payload["masks"] = [
-        ["".join(str(b) for b in blk.mask(tile.m)) for blk in row]
-        for row in tile.blocks
+        ["".join(map(str, block)) for block in row] for row in blocks.astype(int).tolist()
     ]
     with open(args.output, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    kept = int(np.count_nonzero(densify(tile)))
+    kept = int(mask.sum())
     total = dense.size
     print(
         f"packed {dense.shape[0]}x{dense.shape[1]} weights into "
@@ -142,7 +139,9 @@ def cmd_prune(args) -> int:
     return 0
 
 
-def _pad_to_tile(w: np.ndarray, config: ArrayConfig) -> np.ndarray:
+def _tile_from_csv(path, config: ArrayConfig):
+    """Read a weight CSV, zero-pad it to one tile and pack it for ``config``."""
+    w = read_matrix_csv(path)
     br, cols = config.tile_shape
     if w.shape[0] > br or w.shape[1] > cols:
         raise ValueError(
@@ -151,7 +150,7 @@ def _pad_to_tile(w: np.ndarray, config: ArrayConfig) -> np.ndarray:
         )
     padded = np.zeros((br, cols), dtype=np.int64)
     padded[: w.shape[0], : w.shape[1]] = w
-    return padded
+    return config.pack(padded)
 
 
 def cmd_matmul(args) -> int:
@@ -193,8 +192,7 @@ def cmd_matmul(args) -> int:
 
 def cmd_selftest(args) -> int:
     config, _ = resolve_config(args)
-    w = read_matrix_csv(args.weights)
-    tile = pack_tile(_pad_to_tile(w, config), config.m, config.n, config.data_width)
+    tile = _tile_from_csv(args.weights, config)
     array = TensorArray(config)
     for spec in args.fault or []:
         fault = parse_fault_spec(spec)
@@ -223,15 +221,10 @@ def cmd_selftest(args) -> int:
 
 def cmd_campaign(args) -> int:
     config, seed = resolve_config(args)
+    if args.magnitude is not None and args.magnitude < 0:
+        raise ValueError(f"--magnitude must be at least 0, got {args.magnitude}")
     if args.weights:
-        tiles = []
-        for path in args.weights:
-            w = read_matrix_csv(path)
-            tiles.append(
-                pack_tile(
-                    _pad_to_tile(w, config), config.m, config.n, config.data_width
-                )
-            )
+        tiles = [_tile_from_csv(path, config) for path in args.weights]
     else:
         rng = np.random.default_rng(seed)
         tiles = random_tiles(rng, config, args.tiles, magnitude=args.magnitude)

@@ -17,7 +17,6 @@ import numpy as np
 from stasim.arith import check_signed_range, wrap_signed
 from stasim.array import ArrayConfig, FaultSite, TensorArray
 from stasim.selftest import TestReport, compute_golden, run_session
-from stasim.sparsity import pack_tile
 
 
 @dataclass
@@ -84,14 +83,14 @@ def tiled_matmul(
     br, cols = config.block_rows, config.cols
 
     for li, layer in enumerate(workload.layers):
-        a = np.asarray(layer.a, dtype=np.int64)
-        w = np.asarray(layer.w, dtype=np.int64)
+        a, w = np.asarray(layer.a), np.asarray(layer.w)
         if a.ndim != 2 or w.ndim != 2 or a.shape[1] != w.shape[0]:
             raise ValueError(
                 f"layer {li}: shapes {a.shape} x {w.shape} do not chain"
             )
         check_signed_range(f"layer {li} activation", a, config.data_width)
         check_signed_range(f"layer {li} weight", w, config.data_width)
+        a, w = a.astype(np.int64), w.astype(np.int64)
         x_rows, k_depth = a.shape
         c_total = w.shape[1]
         k_tiles = -(-k_depth // br)
@@ -105,11 +104,8 @@ def tiled_matmul(
         acc = np.zeros((x_rows, c_tiles * cols), dtype=np.int64)
         for ki in range(k_tiles):
             for ci in range(c_tiles):
-                tile = pack_tile(
-                    w_pad[ki * br : (ki + 1) * br, ci * cols : (ci + 1) * cols],
-                    config.m,
-                    config.n,
-                    config.data_width,
+                tile = config.pack(
+                    w_pad[ki * br : (ki + 1) * br, ci * cols : (ci + 1) * cols]
                 )
                 array.load_weights(tile)
                 stats.load_cycles += config.rows

@@ -66,10 +66,9 @@ def compute_golden(tile: SparseWeightTile, config: ArrayConfig) -> GoldenReferen
     -((j mod m) + 1) * S_j to cancel the forced-selection response.
     """
     config.check_tile(tile)
-    vals, idxs = tile.as_arrays()
     k = config.active_slots
-    w = vals[..., :k]
-    pos = idxs[..., :k]
+    w = tile.values[..., :k]
+    pos = tile.indexes[..., :k]
     wsum = w.sum(axis=(0, 2))
     ramp_weighted = ((pos + 1) * w).sum(axis=(0, 2))
     forced = (np.arange(config.cols, dtype=np.int64) % config.m) + 1

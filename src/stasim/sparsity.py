@@ -11,110 +11,90 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from numbers import Integral
-from typing import Sequence
+from functools import cached_property
 
 import numpy as np
 
-from stasim.arith import wrap_signed
+from stasim.arith import outside_range, wrap_signed
 
 
 @dataclass(frozen=True)
 class SparseBlock:
-    """Packed form of one m-element column slice.
-
-    ``values`` holds the surviving entries ordered by position, padded with
-    zeros up to length n; ``indexes`` holds their positions inside the block,
-    with padding entries defaulting to position 0.
-    """
+    """Read-only view of one packed block: a TPE's n (value, index) pairs."""
 
     values: tuple[int, ...]
     indexes: tuple[int, ...]
 
-    def nonzero_count(self) -> int:
-        return sum(1 for v in self.values if v != 0)
 
-    def mask(self, m: int) -> tuple[int, ...]:
-        """Per-position keep/drop bits of the original block."""
-        kept = {i for v, i in zip(self.values, self.indexes) if v != 0}
-        return tuple(1 if i in kept else 0 for i in range(m))
-
-
-def prune_to_nm(block: Sequence[int], n: int) -> SparseBlock:
-    """Prune one column block to at most ``n`` non-zeros.
-
-    Keeps the n largest-magnitude entries, breaking magnitude ties toward the
-    lower position, then stores them in position order.
-    """
-    m = len(block)
-    if n < 1 or n > m:
-        raise ValueError(f"cannot keep {n} of {m} block entries")
-    ranked = sorted(range(m), key=lambda i: (-abs(block[i]), i))
-    kept = sorted(i for i in ranked[:n] if block[i] != 0)
-    pad = n - len(kept)
-    return SparseBlock(
-        values=tuple(int(block[i]) for i in kept) + (0,) * pad,
-        indexes=tuple(kept) + (0,) * pad,
-    )
+def _check_packing(m: int, n: int, data_width: int) -> None:
+    if not 1 <= n <= m:
+        raise ValueError(f"tile needs 1 <= n <= m, got n={n} m={m}")
+    if not 2 <= data_width <= 30:
+        raise ValueError(f"tile data_width {data_width} outside supported 2..30")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SparseWeightTile:
     """An R x C grid of packed blocks, ready to load into the array.
 
-    Grid row i, column j covers dense rows ``i*m .. i*m + m - 1`` of dense
-    column j.  ``data_width`` is the two's-complement width every value is
-    checked against at construction, together with the grid shape, the
-    block arity n and the index range 0..m-1.
+    ``values`` and ``indexes`` are read-only (R, C, n) int64 arrays: block
+    (i, j) covers dense rows ``i*m .. i*m + m - 1`` of dense column j and
+    holds its survivors as n (value, position) pairs.  Construction checks
+    ``1 <= n <= m``, ``2 <= data_width <= 30``, the shapes, indexes in
+    0..m-1 and values in the signed ``data_width`` range.
     """
 
-    blocks: tuple[tuple[SparseBlock, ...], ...]
+    values: np.ndarray
+    indexes: np.ndarray
     m: int
     n: int
     data_width: int
 
     def __post_init__(self) -> None:
-        m, n = self.m, self.n
-        if not 1 <= n <= m:
-            raise ValueError(f"tile needs 1 <= n <= m, got n={n} m={m}")
-        if not 2 <= self.data_width <= 30:
-            raise ValueError(f"tile data_width {self.data_width} outside supported 2..30")
-        lo, hi = -(1 << (self.data_width - 1)), (1 << (self.data_width - 1)) - 1
-        for i, row in enumerate(self.blocks):
-            if len(row) != self.grid_cols:
-                raise ValueError("ragged tile block grid")
-            for j, blk in enumerate(row):
-                if len(blk.values) != n or len(blk.indexes) != n:
-                    raise ValueError("tile block arity does not match n")
-                for slot, (v, pos) in enumerate(zip(blk.values, blk.indexes)):
-                    where = f"tile block ({i}, {j}) slot {slot}"
-                    if not (isinstance(pos, Integral) and 0 <= pos < m):
-                        raise ValueError(f"{where}: index {pos!r} not in 0..{m - 1}")
-                    if not (isinstance(v, Integral) and lo <= v <= hi):
-                        raise ValueError(f"{where}: value {v!r} not in {lo}..{hi}")
+        _check_packing(self.m, self.n, self.data_width)
+        vals, idxs = np.asarray(self.values), np.asarray(self.indexes)
+        if vals.ndim != 3 or vals.shape[2] != self.n or idxs.shape != vals.shape:
+            raise ValueError(
+                f"tile values {vals.shape} and indexes {idxs.shape} must both "
+                f"have shape (rows, cols, n={self.n})"
+            )
+        half = 1 << (self.data_width - 1)
+        bad_idx = outside_range(idxs, 0, self.m - 1)
+        bad = bad_idx | outside_range(vals, -half, half - 1)
+        if bad.any():
+            i, j, s = np.argwhere(bad)[0]
+            if bad_idx[i, j, s]:
+                problem = f"index {idxs[i, j, s].item()!r} not in 0..{self.m - 1}"
+            else:
+                problem = f"value {vals[i, j, s].item()!r} not in {-half}..{half - 1}"
+            raise ValueError(f"tile block ({i}, {j}) slot {s}: {problem}")
+        for name, arr in (("indexes", idxs), ("values", vals)):
+            if not np.issubdtype(arr.dtype, np.integer):
+                raise ValueError(f"tile {name} must be integers, got dtype {arr.dtype}")
+            stored = arr.astype(np.int64)
+            stored.flags.writeable = False
+            object.__setattr__(self, name, stored)
 
     @property
     def grid_rows(self) -> int:
-        return len(self.blocks)
+        return self.values.shape[0]
 
     @property
     def grid_cols(self) -> int:
-        return len(self.blocks[0]) if self.blocks else 0
+        return self.values.shape[1]
 
     @property
     def source_dims(self) -> tuple[int, int]:
         """Shape of the dense matrix this tile packs."""
         return (self.grid_rows * self.m, self.grid_cols)
 
-    def as_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """(values, indexes) as two (rows, cols, n) int64 arrays."""
-        vals = np.array(
-            [[blk.values for blk in row] for row in self.blocks], dtype=np.int64
+    @cached_property
+    def blocks(self) -> tuple[tuple[SparseBlock, ...], ...]:
+        """The blocks as a grid of ``SparseBlock`` views, ``blocks[i][j]``."""
+        return tuple(
+            tuple(SparseBlock(tuple(v), tuple(x)) for v, x in zip(vrow, xrow))
+            for vrow, xrow in zip(self.values.tolist(), self.indexes.tolist())
         )
-        idxs = np.array(
-            [[blk.indexes for blk in row] for row in self.blocks], dtype=np.int64
-        )
-        return vals, idxs
 
     def to_dict(self) -> dict:
         return {
@@ -124,10 +104,7 @@ class SparseWeightTile:
             "rows": self.source_dims[0],
             "cols": self.source_dims[1],
             "blocks": [
-                [
-                    {"values": list(blk.values), "indexes": list(blk.indexes)}
-                    for blk in row
-                ]
+                [{"values": list(b.values), "indexes": list(b.indexes)} for b in row]
                 for row in self.blocks
             ],
         }
@@ -138,16 +115,13 @@ class SparseWeightTile:
             m = int(data["m"])
             n = int(data["n"])
             width = int(data["data_width"])
-            rows = [
-                tuple(
-                    SparseBlock(tuple(b["values"]), tuple(b["indexes"]))
-                    for b in row
-                )
-                for row in data["blocks"]
-            ]
-        except (KeyError, TypeError) as exc:
+            values, indexes = (
+                np.array([[b[key] for b in row] for row in data["blocks"]])
+                for key in ("values", "indexes")
+            )
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed tile description: {exc}") from exc
-        return cls(blocks=tuple(rows), m=m, n=n, data_width=width)
+        return cls(values, indexes, m=m, n=n, data_width=width)
 
 
 def pack_tile(
@@ -155,9 +129,13 @@ def pack_tile(
 ) -> SparseWeightTile:
     """Prune and pack a dense weight matrix column-wise into m-row blocks.
 
-    The row count must be divisible by m.  Values must fit ``data_width``
-    bits signed; anything wider is a usage error, not silently wrapped.
+    Each block keeps its n largest magnitudes, ties going to the lower
+    position; zeros are dropped, the survivors are stored in position order
+    and padded with (value 0, index 0).  The row count must be divisible by
+    m.  Values must fit ``data_width`` bits signed; anything wider is a
+    usage error, not silently wrapped.
     """
+    _check_packing(m, n, data_width)
     w = np.asarray(dense_w)
     if w.ndim != 2 or w.size == 0:
         raise ValueError(f"weight matrix must be 2-D and non-empty, got shape {w.shape}")
@@ -169,23 +147,27 @@ def pack_tile(
     w = w.astype(np.int64)
     if np.any(wrap_signed(w, data_width) != w):
         raise ValueError(f"weight values exceed {data_width}-bit signed range")
-    grid = tuple(
-        tuple(prune_to_nm(w[i * m : (i + 1) * m, j], n) for j in range(cols))
-        for i in range(rows // m)
-    )
-    return SparseWeightTile(blocks=grid, m=m, n=n, data_width=data_width)
+    blocks = w.reshape(rows // m, m, cols).transpose(0, 2, 1)
+    # A stable sort on descending magnitude ranks ties by position.
+    kept = np.sort(np.argsort(-np.abs(blocks), axis=-1, kind="stable")[..., :n], axis=-1)
+    values = np.take_along_axis(blocks, kept, axis=-1)
+    # Move dropped zeros behind the survivors, keeping position order.
+    order = np.argsort(values == 0, axis=-1, kind="stable")
+    values = np.take_along_axis(values, order, axis=-1)
+    indexes = np.where(values != 0, np.take_along_axis(kept, order, axis=-1), 0)
+    return SparseWeightTile(values, indexes, m=m, n=n, data_width=data_width)
 
 
 def densify(tile: SparseWeightTile) -> np.ndarray:
-    """Reconstruct the pruned dense matrix a tile represents."""
-    rows, cols = tile.source_dims
-    out = np.zeros((rows, cols), dtype=np.int64)
-    for i, row in enumerate(tile.blocks):
-        for j, blk in enumerate(row):
-            for v, pos in zip(blk.values, blk.indexes):
-                if v != 0:
-                    out[i * tile.m + pos, j] = v
-    return out
+    """Reconstruct the pruned dense matrix a tile represents.
+
+    Slots that share a position add up, as their products do in the array.
+    """
+    r, c, _ = tile.values.shape
+    out = np.zeros((r, tile.m, c), dtype=np.int64)
+    i, j, _ = np.indices(tile.values.shape, sparse=True)
+    np.add.at(out, (i, tile.indexes, j), tile.values)
+    return out.reshape(r * tile.m, c)
 
 
 def validate_nm(dense_w, m: int, n: int) -> bool:
@@ -212,6 +194,11 @@ def read_matrix_csv(path) -> np.ndarray:
                 rows.append([int(c) for c in cells])
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: non-integer cell") from exc
+            for col, value in enumerate(rows[-1]):
+                if not -(1 << 63) <= value < 1 << 63:
+                    raise ValueError(
+                        f"{path}:{lineno}: column {col}: value {value} does not fit 64 bits"
+                    )
             if len(rows[-1]) != len(rows[0]):
                 raise ValueError(
                     f"{path}:{lineno}: ragged row of {len(rows[-1])} cells, "

@@ -7,11 +7,10 @@ from stasim.arith import (
     Word,
     bit_not,
     force_bit,
-    force_signed,
     is_bitwise_complement,
     mask_of,
+    outside_range,
     wrap_add,
-    wrap_mul,
     wrap_signed,
 )
 
@@ -30,25 +29,6 @@ def test_wrap_add_known_values():
 def test_wrap_add_width_mismatch_rejected():
     with pytest.raises(ValueError):
         wrap_add(w(1, 16), w(1, 32))
-
-
-def test_wrap_mul_known_values():
-    assert wrap_mul(w(3, 16), w(-2, 16), 32).signed == -6
-    for weight in (-100, -1, 0, 17, 32767):
-        assert wrap_mul(w(0, 16), w(weight, 16), 32).signed == 0
-    assert wrap_mul(w(30000, 16), w(2, 16), 32).signed == 60000
-
-
-def test_wrap_mul_wraps_at_output_width():
-    # 300 * 300 = 90000 = 0x15F90; at 16 bits only the low half remains.
-    assert wrap_mul(w(300, 16), w(300, 16), 16).signed == wrap_signed(90000, 16)
-
-
-def test_wrap_mul_rejects_narrow_output():
-    with pytest.raises(ValueError):
-        wrap_mul(w(1, 16), w(1, 16), 8)
-    with pytest.raises(ValueError):
-        wrap_mul(w(1, 16), w(1, 8), 32)
 
 
 def test_bit_not_known_values():
@@ -147,16 +127,13 @@ def test_wrap_signed_matches_word_on_arrays():
         assert wrapped.tolist() == expected
 
 
-def test_force_signed_matches_force_bit_on_arrays():
-    rng = np.random.default_rng(19)
-    raw = rng.integers(-(1 << 15), 1 << 15, size=128)
-    for bit in (0, 7, 15):
-        for stuck in (0, 1):
-            forced = force_signed(raw, 16, bit, stuck)
-            expected = [
-                force_bit(w(int(v), 16), bit, stuck).signed for v in raw
-            ]
-            assert forced.tolist() == expected
+def test_outside_range():
+    assert outside_range([[3, -4, 5]], -4, 4).tolist() == [[False, False, True]]
+    # integer-valued floats pass, fractions, NaN and infinities do not
+    got = outside_range(np.array([2.0, 1.5, np.nan, np.inf]), -9, 9)
+    assert got.tolist() == [False, True, True, True]
+    assert outside_range(np.array([1 << 70, 1], dtype=object), 0, 9).tolist() == [True, False]
+    assert outside_range(np.array(["a", "1"]), 0, 9).tolist() == [True, True]
 
 
 def test_mask_of():

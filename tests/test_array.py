@@ -6,12 +6,11 @@ import pytest
 from stasim.arith import Word, force_bit, wrap_signed
 from stasim.array import ArrayConfig, FaultSite, RegClass, TensorArray, TpeState
 from stasim.campaign import enumerate_faults
-from stasim.sparsity import SparseBlock, SparseWeightTile, densify, pack_tile
+from stasim.sparsity import SparseWeightTile, densify, pack_tile
 
 
 def single_tpe_tile(values, indexes, m=4, n=2, data_width=16):
-    block = SparseBlock(tuple(values), tuple(indexes))
-    return SparseWeightTile(blocks=((block,),), m=m, n=n, data_width=data_width)
+    return SparseWeightTile([[values]], [[indexes]], m=m, n=n, data_width=data_width)
 
 
 def random_tile(rng, config, magnitude=None):
@@ -298,6 +297,18 @@ def test_run_compute_rejects_out_of_range_activations():
         array.run_compute([[0, 0, 0, 0], [0, 0, -32769, 0]])
     out, _ = array.run_compute([[32767, 0, 0, 0], [-32768, 0, 0, 0]])
     assert out.tolist() == [[32767], [-32768]]
+
+
+def test_run_compute_rejects_non_integer_activations():
+    array = TensorArray(ArrayConfig(rows=1, cols=1))
+    array.load_weights(single_tpe_tile([1, 0], [0, 1]))
+    with pytest.raises(ValueError, match=r"row 0 column 0: value 1.5 is not an integer"):
+        array.run_compute([[1.5, 0, 0, 0]])
+    with pytest.raises(ValueError, match=r"row 1 column 3: value nan is not an integer"):
+        array.run_compute([[0, 0, 0, 0], [0, 0, 0, np.nan]])
+    # integer values held in a float array are exact, so they are accepted
+    out, _ = array.run_compute(np.array([[2.0, 0, 0, 0]]))
+    assert out.tolist() == [[2]]
     # The stream keeps its wire-width wrap.
     wrapped, _ = array.stream([[[40000, 0, 0, 0]]])
     assert wrapped.tolist() == [[-25536]]

@@ -180,6 +180,14 @@ def test_random_tiles_respect_magnitude():
     assert max(abs(densify(t)).max() for t in full) > 11
 
 
+def test_random_tiles_gate_inactive_slots():
+    cfg = ArrayConfig(rows=2, cols=3, mode="1:4")
+    for tile in random_tiles(np.random.default_rng(443), cfg, 3, magnitude=50):
+        assert tile.n == 2
+        assert not tile.values[..., 1].any() and not tile.indexes[..., 1].any()
+        assert np.count_nonzero(densify(tile)) == np.count_nonzero(tile.values[..., 0])
+
+
 def test_campaign_rejects_empty_workload():
     with pytest.raises(ValueError):
         run_campaign([], TINY)

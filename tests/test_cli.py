@@ -21,6 +21,12 @@ def write_csv(path, arr):
     return str(path)
 
 
+def block_mask(blk, m):
+    """Keep/drop string of one block: 1 where a non-zero value survived."""
+    kept = {i for v, i in zip(blk.values, blk.indexes) if v != 0}
+    return "".join("1" if i in kept else "0" for i in range(m))
+
+
 @pytest.fixture
 def ones_tile_csv(tmp_path):
     """A full 8x8-tile weight matrix of ones (32 dense rows, 8 columns)."""
@@ -37,10 +43,7 @@ def test_prune_round_trip(tmp_path, capsys):
     tile = SparseWeightTile.from_dict(payload)
     want = pack_tile(dense, 4, 2, 16)
     assert np.array_equal(densify(tile), densify(want))
-    assert payload["masks"] == [
-        ["".join(str(b) for b in blk.mask(4)) for blk in row]
-        for row in want.blocks
-    ]
+    assert payload["masks"] == [[block_mask(blk, 4) for blk in row] for row in want.blocks]
     assert "non-zero ratio" in capsys.readouterr().out
 
 
@@ -270,3 +273,28 @@ def test_campaign_with_explicit_weight_csvs(tmp_path):
 def test_missing_input_file_exits_2(tmp_path, capsys):
     assert main(["prune", str(tmp_path / "absent.csv"), "-o", str(tmp_path / "t.json")]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_csv_cell_beyond_int64_exits_2(tmp_path, capsys):
+    big = tmp_path / "big.csv"
+    big.write_text(f"1,2,3,4\n5,{1 << 63},7,8\n")
+    w_csv = write_csv(tmp_path / "w.csv", np.ones((4, 1), dtype=np.int64))
+    assert main(["matmul", str(big), w_csv, "-o", str(tmp_path / "r.csv")]) == 2
+    err = capsys.readouterr().err
+    assert f"big.csv:2: column 1: value {1 << 63} does not fit 64 bits" in err
+
+
+def test_campaign_negative_magnitude_exits_2(tmp_path, capsys):
+    args = ["campaign", "--rows", "2", "--cols", "2", "--magnitude", "-5"]
+    assert main(args + ["-o", str(tmp_path / "c.json")]) == 2
+    assert "--magnitude must be at least 0, got -5" in capsys.readouterr().err
+
+
+def test_prune_one_active_slot_mode(tmp_path):
+    """Under 1:4 each block keeps its one largest value; the gated slot holds (0, 0)."""
+    w_csv = write_csv(tmp_path / "w.csv", [[1], [0], [0], [9]])
+    out = tmp_path / "tile.json"
+    assert main(["prune", w_csv, "--mode", "1:4", "-o", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["blocks"] == [[{"values": [9, 0], "indexes": [3, 0]}]]
+    assert payload["masks"] == [["0001"]]

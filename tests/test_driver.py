@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stasim.arith import wrap_signed
 from stasim.array import ArrayConfig, FaultSite, RegClass
@@ -14,6 +16,7 @@ from stasim.driver import (
     tiled_matmul,
 )
 from stasim.sparsity import densify, pack_tile
+from test_stream import configs
 
 
 def pruned_oracle(a, w, config):
@@ -150,6 +153,73 @@ def test_shape_and_range_validation():
     )
     with pytest.raises(ValueError, match=r"layer 0 activation row 0 column 0: value 1048576"):
         tiled_matmul(too_wide, cfg)
+
+
+def test_non_integer_inputs_rejected():
+    cfg = ArrayConfig(rows=1, cols=1)
+    a, w = [[2, 0, 0, 0]], [[1], [0], [0], [0]]
+    with pytest.raises(ValueError, match=r"weight row 0 column 0: value 1.9 is not an integer"):
+        tiled_matmul(Workload([Layer(a, [[1.9], [0], [0], [0]])]), cfg)
+    with pytest.raises(ValueError, match=r"activation row 0 column 3: value 0.5 is not an int"):
+        tiled_matmul(Workload([Layer([[2, 0, 0, 0.5]], w)]), cfg)
+    results, _, _ = tiled_matmul(Workload([Layer(np.array(a, dtype=float), w)]), cfg)
+    assert results[0].tolist() == [[2]]
+
+
+def test_one_active_slot_mode_keeps_the_largest_weight():
+    """Under 1:4 the one active slot holds each block's largest magnitude."""
+    cfg = ArrayConfig(rows=1, cols=1, mode="1:4")
+    layer = Layer(np.array([[1, 1, 1, 1]]), np.array([[1], [0], [0], [9]]))
+    results, _, reports = tiled_matmul(Workload([layer]), cfg)
+    assert results[0].tolist() == [[9]]
+    assert not reports[0].detected
+
+
+def dense_pruned_product(a, w, config):
+    """Numpy oracle: every m-row block of each column keeps its
+    ``active_slots`` largest magnitudes (ties to the lower position), then an
+    exact product wrapped to ``acc_width``."""
+    m, keep = config.m, config.active_slots
+    k, c = w.shape
+    blocks = np.zeros((-(-k // m), m, c), dtype=np.int64)
+    blocks.reshape(-1, c)[:k] = w
+    order = np.argsort(-np.abs(blocks), axis=1, kind="stable")
+    kept = np.zeros(blocks.shape, dtype=bool)
+    np.put_along_axis(kept, order[:, :keep], True, axis=1)
+    pruned = np.where(kept, blocks, 0).reshape(-1, c)[:k]
+    exact = a.astype(object) @ pruned.astype(object)
+    return np.array(wrap_signed(exact, config.acc_width), dtype=np.int64)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    cfg=configs(),
+    x_rows=st.integers(1, 4),
+    k_tiles=st.integers(0, 1),
+    k_rest=st.integers(1, 42),
+    c_tiles=st.integers(0, 1),
+    c_rest=st.integers(1, 6),
+    testing=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_tiled_matmul_matches_dense_pruned_oracle(
+    cfg, x_rows, k_tiles, k_rest, c_tiles, c_rest, testing, seed
+):
+    """Grids 1..6, m 1..7, k:m modes and widths up to 30/62, on K and C
+    that mostly leave a partial tile, so both directions are zero-padded."""
+    rng = np.random.default_rng(seed)
+    k = k_tiles * cfg.block_rows + min(k_rest, cfg.block_rows)
+    c = c_tiles * cfg.cols + min(c_rest, cfg.cols)
+    half = 1 << (cfg.data_width - 1)
+    a = rng.integers(-half, half, size=(x_rows, k), dtype=np.int64)
+    w = rng.integers(-half, half, size=(k, c), dtype=np.int64)
+    # a few zeros and magnitude ties, so pruning meets both
+    w[rng.random(w.shape) < 0.3] = 0
+    w[rng.random(w.shape) < 0.2] = half - 1
+    results, stats, reports = tiled_matmul(Workload([Layer(a, w)]), cfg, testing=testing)
+    assert np.array_equal(results[0], dense_pruned_product(a, w, cfg))
+    assert stats.tiles_executed == -(-k // cfg.block_rows) * -(-c // cfg.cols)
+    assert len(reports) == (stats.tiles_executed if testing else 0)
 
 
 def test_synthetic_workload_shapes_and_bounds():

@@ -15,7 +15,7 @@ import stasim.campaign as campaign
 from stasim.array import FaultLanes, FaultSite, RegClass, TensorArray
 from stasim.campaign import run_campaign
 from stasim.selftest import run_session
-from stasim.sparsity import SparseBlock, SparseWeightTile
+from stasim.sparsity import SparseWeightTile
 from test_stream import configs
 
 
@@ -53,17 +53,14 @@ def reference_evaluate(config, tiles, goldens, faults, verify_classification, ha
 def tile_of_magnitude(rng, cfg, magnitude):
     """Random in-range values up to ``magnitude`` and arbitrary in-range indexes."""
     hi = min(magnitude, (1 << (cfg.data_width - 1)) - 1)
-    blocks = tuple(
-        tuple(
-            SparseBlock(
-                tuple(int(v) for v in rng.integers(-hi, hi + 1, size=cfg.n)),
-                tuple(int(i) for i in rng.integers(0, cfg.m, size=cfg.n)),
-            )
-            for _ in range(cfg.cols)
-        )
-        for _ in range(cfg.rows)
+    shape = (cfg.rows, cfg.cols, cfg.n)
+    return SparseWeightTile(
+        rng.integers(-hi, hi + 1, size=shape),
+        rng.integers(0, cfg.m, size=shape),
+        m=cfg.m,
+        n=cfg.n,
+        data_width=cfg.data_width,
     )
-    return SparseWeightTile(blocks=blocks, m=cfg.m, n=cfg.n, data_width=cfg.data_width)
 
 
 def mixed_faults(rng, cfg, count):

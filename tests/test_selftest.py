@@ -17,7 +17,7 @@ from stasim.selftest import (
     run_session,
     session_vectors,
 )
-from stasim.sparsity import SparseBlock, SparseWeightTile, densify, pack_tile
+from stasim.sparsity import SparseWeightTile, densify, pack_tile
 
 
 def random_tile(rng, config, magnitude=None):
@@ -65,9 +65,7 @@ def test_golden_column_sums():
 
 def test_golden_position_weighted_sum():
     cfg = ArrayConfig(rows=1, cols=1)
-    tile = SparseWeightTile(
-        blocks=((SparseBlock((-2, 3), (0, 2)),),), m=4, n=2, data_width=16
-    )
+    tile = SparseWeightTile([[[-2, 3]]], [[[0, 2]]], m=4, n=2, data_width=16)
     golden = compute_golden(tile, cfg)
     # ramp vector value at position p is p+1: -((0+1)*(-2) + (2+1)*3)
     assert golden.per_test[2, 0] == -7
@@ -78,8 +76,7 @@ def test_golden_forced_selection_row():
     cfg = ArrayConfig()
     tile = random_tile(rng, cfg, magnitude=99)
     golden = compute_golden(tile, cfg)
-    vals, _ = tile.as_arrays()
-    sums = vals.sum(axis=(0, 2))
+    sums = tile.values.sum(axis=(0, 2))
     for j in range(cfg.cols):
         assert golden.per_test[3, j] == wrap_signed(
             -((j % 4) + 1) * int(sums[j]), cfg.acc_width
@@ -88,9 +85,7 @@ def test_golden_forced_selection_row():
 
 def test_golden_excludes_gated_slot():
     cfg = ArrayConfig(rows=1, cols=1, mode="1:4")
-    tile = SparseWeightTile(
-        blocks=((SparseBlock((5, 9), (1, 3)),),), m=4, n=2, data_width=16
-    )
+    tile = SparseWeightTile([[[5, 9]]], [[[1, 3]]], m=4, n=2, data_width=16)
     golden = compute_golden(tile, cfg)
     assert golden.per_test[0, 0] == -5
     assert golden.per_test[1, 0] == 5

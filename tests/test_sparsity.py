@@ -8,7 +8,6 @@ from stasim.sparsity import (
     SparseWeightTile,
     densify,
     pack_tile,
-    prune_to_nm,
     read_matrix_csv,
     validate_nm,
     write_matrix_csv,
@@ -25,20 +24,19 @@ def prune_oracle(block, n):
     return [v if i in keep else 0 for i, v in enumerate(block)]
 
 
-def block_to_dense(block, m):
-    out = [0] * m
-    for v, i in zip(block.values, block.indexes):
-        if v != 0:
-            out[i] = v
-    return out
+def pack_block(block, n):
+    """(values, indexes) of one block packed as a one-column tile."""
+    tile = pack_tile(np.array(block).reshape(-1, 1), len(block), n)
+    return tile.blocks[0][0].values, tile.blocks[0][0].indexes
 
 
 def test_prune_known_blocks():
-    assert prune_to_nm([5, -1, 2, 3], 2) == SparseBlock((5, 3), (0, 3))
-    assert prune_to_nm([0, 0, 0, 0], 2) == SparseBlock((0, 0), (0, 0))
+    assert pack_block([5, -1, 2, 3], 2) == ((5, 3), (0, 3))
+    assert pack_block([0, 0, 0, 0], 2) == ((0, 0), (0, 0))
     # magnitude tie between -2 and 2 resolves toward the lower position;
     # the 1/1 tie loses to both of them
-    assert prune_to_nm([2, -2, 1, 1], 2) == SparseBlock((2, -2), (0, 1))
+    assert pack_block([2, -2, 1, 1], 2) == ((2, -2), (0, 1))
+    assert pack_block([1, 1, 1, 1], 3) == ((1, 1, 1), (0, 1, 2))
 
 
 def test_prune_matches_oracle_randomized():
@@ -47,28 +45,34 @@ def test_prune_matches_oracle_randomized():
         m = int(rng.integers(2, 9))
         n = int(rng.integers(1, m + 1))
         block = [int(v) for v in rng.integers(-50, 51, size=m)]
-        assert block_to_dense(prune_to_nm(block, n), m) == prune_oracle(block, n)
+        tile = pack_tile(np.array(block).reshape(m, 1), m, n)
+        assert densify(tile)[:, 0].tolist() == prune_oracle(block, n)
 
 
 def test_prune_padding_and_ordering():
-    blk = prune_to_nm([0, 9, 0, 0], 2)
-    assert blk == SparseBlock((9, 0), (1, 0))
-    assert blk.nonzero_count() == 1
+    assert pack_block([0, 9, 0, 0], 2) == ((9, 0), (1, 0))
+    # a zero that ranks among the n largest is dropped, not kept
+    assert pack_block([0, 0, -4, 0], 3) == ((-4, 0, 0), (2, 0, 0))
     # surviving positions are stored in increasing order
-    blk = prune_to_nm([1, 0, 0, 7], 2)
-    assert blk.indexes == (0, 3)
+    assert pack_block([1, 0, 0, 7], 2) == ((1, 7), (0, 3))
+    assert pack_block([1, 3, 8, 2], 3) == ((3, 8, 2), (1, 2, 3))
 
 
 def test_prune_rejects_bad_keep_count():
-    with pytest.raises(ValueError):
-        prune_to_nm([1, 2, 3, 4], 0)
-    with pytest.raises(ValueError):
-        prune_to_nm([1, 2, 3, 4], 5)
+    column = np.array([[1], [2], [3], [4]])
+    with pytest.raises(ValueError, match=r"tile needs 1 <= n <= m, got n=0 m=4"):
+        pack_tile(column, 4, 0)
+    with pytest.raises(ValueError, match=r"got n=5 m=4"):
+        pack_tile(column, 4, 5)
+    # m is checked before the rows are divided into blocks of m
+    with pytest.raises(ValueError, match=r"got n=2 m=0"):
+        pack_tile(column, 0, 2)
 
 
 def test_block_mask():
-    assert prune_to_nm([5, -1, 2, 3], 2).mask(4) == (1, 0, 0, 1)
-    assert prune_to_nm([0, 0, 0, 0], 2).mask(4) == (0, 0, 0, 0)
+    """The keep/drop bits ``stasim prune`` writes come from ``densify``."""
+    tile = pack_tile(np.array([[5, 0], [-1, 0], [2, 0], [3, 0]]), 4, 2)
+    assert (densify(tile) != 0).T.astype(int).tolist() == [[1, 0, 0, 1], [0, 0, 0, 0]]
 
 
 def test_pack_lossless_when_already_sparse():
@@ -113,7 +117,7 @@ def test_pack_densify_idempotent():
     w = rng.integers(-1000, 1001, size=(16, 5))
     tile = pack_tile(w, 4, 2)
     again = pack_tile(densify(tile), 4, 2)
-    assert again == tile
+    assert again.to_dict() == tile.to_dict()
 
 
 def test_pack_one_per_block_mode():
@@ -158,11 +162,16 @@ def test_tile_properties_and_dict_round_trip():
     assert tile.grid_rows == 2
     assert tile.grid_cols == 3
     assert tile.source_dims == (8, 3)
-    vals, idxs = tile.as_arrays()
-    assert vals.shape == (2, 3, 2)
-    assert idxs.shape == (2, 3, 2)
+    assert tile.values.shape == tile.indexes.shape == (2, 3, 2)
+    assert tile.values.dtype == tile.indexes.dtype == np.int64
+    with pytest.raises(ValueError):
+        tile.values[0, 0, 0] = 1  # read-only
+    assert tile.blocks[1][2] == SparseBlock(
+        tuple(tile.values[1, 2].tolist()), tuple(tile.indexes[1, 2].tolist())
+    )
     restored = SparseWeightTile.from_dict(tile.to_dict())
-    assert restored == tile
+    assert restored.to_dict() == tile.to_dict()
+    assert np.array_equal(restored.values, tile.values)
 
 
 def test_tile_from_dict_rejects_malformed():
@@ -194,26 +203,21 @@ def test_tile_from_dict_rejects_out_of_range_entries(field, bad, message):
 
 
 @pytest.mark.parametrize(
-    "blocks, message",
+    "values, indexes, message",
     [
-        (((SparseBlock((3, 99999), (7, 0)),),), r"block \(0, 0\) slot 0: index 7 not in 0\.\.3"),
-        (((SparseBlock((3, 99999), (0, 1)),),), r"slot 1: value 99999 not in -32768\.\.32767"),
-        (((SparseBlock((3, 2.5), (0, 1)),),), r"slot 1: value 2.5 not in"),
-        (((SparseBlock((3,), (0,)),),), "arity"),
-        (
-            (
-                (SparseBlock((1, 2), (0, 1)), SparseBlock((1, 2), (0, 1))),
-                (SparseBlock((1, 2), (0, 1)),),
-            ),
-            "ragged",
-        ),
+        ([[[3, 99999]]], [[[7, 0]]], r"block \(0, 0\) slot 0: index 7 not in 0\.\.3"),
+        ([[[3, 99999]]], [[[0, 1]]], r"slot 1: value 99999 not in -32768\.\.32767"),
+        ([[[3, 2.5]]], [[[0, 1]]], r"slot 1: value 2.5 not in"),
+        ([[[3]]], [[[0]]], r"values \(1, 1, 1\) and indexes \(1, 1, 1\) must both have shape"),
+        ([[[1, 2], [1, 2]]], [[[0, 1]]], r"values \(1, 2, 2\) and indexes \(1, 1, 2\)"),
+        ([[[3.0, 2.0]]], [[[0, 1]]], r"tile values must be integers, got dtype float64"),
     ],
-    ids=["index", "value", "value-float", "arity", "ragged"],
+    ids=["index", "value", "value-float", "arity", "ragged", "float-dtype"],
 )
-def test_tile_construction_checks_entries(blocks, message):
+def test_tile_construction_checks_entries(values, indexes, message):
     """Tiles built in code get the same checks as ``from_dict``."""
     with pytest.raises(ValueError, match=message):
-        SparseWeightTile(blocks=blocks, m=4, n=2, data_width=16)
+        SparseWeightTile(values, indexes, m=4, n=2, data_width=16)
 
 
 @pytest.mark.parametrize(
@@ -231,7 +235,7 @@ def test_tile_checks_its_parameters(m, n, data_width, message):
     with pytest.raises(ValueError, match=message):
         SparseWeightTile.from_dict(data)
     with pytest.raises(ValueError, match=message):
-        SparseWeightTile(blocks=(), m=m, n=n, data_width=data_width)
+        SparseWeightTile(np.zeros((1, 1, n)), np.zeros((1, 1, n)), m, n, data_width)
 
 
 def test_csv_round_trip(tmp_path):
@@ -252,6 +256,11 @@ def test_csv_error_reporting(tmp_path):
     bad.write_text("1,2\n3,x\n")
     with pytest.raises(ValueError, match="non-integer"):
         read_matrix_csv(bad)
+
+    huge = tmp_path / "huge.csv"
+    huge.write_text(f"1,2\n3,{-(1 << 63) - 1}\n")
+    with pytest.raises(ValueError, match=r"huge.csv:2: column 1: value -9223372036854775809"):
+        read_matrix_csv(huge)
 
     empty = tmp_path / "empty.csv"
     empty.write_text("\n\n")

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stasim.array import ArrayConfig, FaultSite, RegClass, TensorArray
-from stasim.sparsity import SparseBlock, SparseWeightTile
+from stasim.sparsity import SparseWeightTile
 
 
 def stepped_stream(array, blocks, north_values, test4_mask):
@@ -56,17 +56,14 @@ def configs(draw):
 
 def random_tile(rng, cfg):
     lo, hi = -(1 << (cfg.data_width - 1)), 1 << (cfg.data_width - 1)
-    blocks = tuple(
-        tuple(
-            SparseBlock(
-                tuple(int(v) for v in rng.integers(lo, hi, size=cfg.n)),
-                tuple(int(i) for i in rng.integers(0, cfg.m, size=cfg.n)),
-            )
-            for _ in range(cfg.cols)
-        )
-        for _ in range(cfg.rows)
+    shape = (cfg.rows, cfg.cols, cfg.n)
+    return SparseWeightTile(
+        rng.integers(lo, hi, size=shape),
+        rng.integers(0, cfg.m, size=shape),
+        m=cfg.m,
+        n=cfg.n,
+        data_width=cfg.data_width,
     )
-    return SparseWeightTile(blocks=blocks, m=cfg.m, n=cfg.n, data_width=cfg.data_width)
 
 
 def random_fault(rng, cfg, cls):
