@@ -39,6 +39,7 @@ from stasim.driver import (
     tiled_matmul,
 )
 from stasim.selftest import (
+    VERDICT_KINDS,
     GoldenReference,
     TestReport,
     Verdict,
@@ -49,6 +50,7 @@ from stasim.selftest import (
     locate_activation,
     run_session,
     session_vectors,
+    session_verdicts,
 )
 from stasim.sparsity import (
     SparseBlock,
@@ -63,6 +65,7 @@ from stasim.sparsity import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "VERDICT_KINDS",
     "ArrayConfig",
     "CoverageReport",
     "CycleStats",
@@ -97,6 +100,7 @@ __all__ = [
     "run_campaign",
     "run_session",
     "session_vectors",
+    "session_verdicts",
     "synthetic_workload",
     "tiled_matmul",
     "validate_nm",

@@ -18,8 +18,9 @@ presented to array row r at cycle ``x + r`` (the usual systolic skew), and the
 finished column-j sum for input row x leaves the array at cycle ``x + R + j``.
 A full stream of X input rows therefore takes ``X + R + C - 1`` cycles.
 Registers are rewritten every cycle, so ``stream`` computes wave by wave, with
-no clock loop; ``step`` advances one cycle and is the reference it is tested
-against.
+no clock loop, and waves never interact: the test-4 selection override can be
+set per wave, which lets a whole self-test session run as one stream.
+``step`` advances one cycle and is the reference it is tested against.
 
 The same wave engine carries an optional fault-lane axis: ``stream_lanes``
 evaluates a batch of single faults in one pass, lane l seeing only fault l
@@ -248,24 +249,39 @@ def _masked(masks, cls: RegClass, values: np.ndarray, at=...) -> np.ndarray:
 class FaultLanes:
     """A batch of single-fault lanes for the wave engine.
 
-    Lane l carries exactly ``faults[l]``: ``masks`` maps every class some
-    lane faults to (and_mask, or_mask) arrays shaped (count, *spec.shape),
-    built by ``FaultSite.mask_bits`` and the identity in every other lane.
-    Classes no lane faults are absent, so their reads stay unmasked and are
-    computed once for all lanes.
+    Lane l carries exactly ``faults[l]``, validated once and kept as row l of
+    ``sites``: class position in ``RegClass``, row, col, element and
+    ``FaultSite.mask_bits``; ``take`` cuts sub-batches.  ``masks`` maps each
+    faulted class to (and_mask, or_mask) arrays shaped (count, *spec.shape),
+    the identity in every other lane; unfaulted classes are absent.
     """
 
     def __init__(self, config: ArrayConfig, faults: Sequence[FaultSite]):
-        self.count = len(faults)
-        self.masks: dict[RegClass, tuple[np.ndarray, np.ndarray]] = {}
-        for lane, fault in enumerate(faults):
+        sites = []
+        for fault in faults:
             fault.validate(config)
-            if fault.reg_class not in self.masks:
-                shape = (self.count,) + config.reg_specs[fault.reg_class].shape
-                self.masks[fault.reg_class] = _identity_masks(shape)
-            and_mask, or_mask = self.masks[fault.reg_class]
-            cell = (lane, fault.row, fault.col, fault.element)
-            and_mask[cell], or_mask[cell] = fault.mask_bits(config)
+            cell = (list(RegClass).index(fault.reg_class), fault.row, fault.col, fault.element)
+            sites.append(cell + fault.mask_bits(config))
+        self.config, self.count = config, len(faults)
+        self.sites = np.array(sites, dtype=np.int64).reshape(-1, 6)
+
+    def take(self, lanes) -> "FaultLanes":
+        """The lanes at positions ``lanes`` of this batch, in that order."""
+        part = FaultLanes(self.config, ())
+        part.sites, part.count = self.sites[lanes], len(lanes)
+        return part
+
+    @cached_property
+    def masks(self) -> dict[RegClass, tuple[np.ndarray, np.ndarray]]:
+        masks = {}
+        for code, cls in enumerate(RegClass):
+            (lanes,) = np.nonzero(self.sites[:, 0] == code)
+            if len(lanes):
+                _, *cell, and_bits, or_bits = self.sites[lanes].T
+                shape = (self.count,) + self.config.reg_specs[cls].shape
+                and_mask, or_mask = masks[cls] = _identity_masks(shape)
+                and_mask[(lanes, *cell)], or_mask[(lanes, *cell)] = and_bits, or_bits
+        return masks
 
 
 @dataclass(frozen=True)
@@ -357,28 +373,33 @@ class TensorArray:
 
     # -- datapath ----------------------------------------------------------
 
-    def _multiply(self, masks, act: np.ndarray, test4_mask: bool) -> np.ndarray:
+    def _multiply(self, masks, act: np.ndarray, test4_mask) -> np.ndarray:
         """Multiply phase on read activation blocks ``act`` (..., rows, cols, m).
 
         Each active slot multiplies its weight by the element its index
         register (or the test-4 forced pattern) selects; an index past the
-        block selects nothing.  Weights and indexes are read through
+        block selects nothing.  ``test4_mask`` is one flag or one per wave,
+        since waves never interact.  Weights and indexes are read through
         ``masks``.  Returns the per-TPE sums.
         """
         cfg = self.config
         k = cfg.active_slots
-        if test4_mask:
-            sel = self._forced_sel
-        else:
-            sel = _masked(masks, RegClass.WEIGHT_INDEX, self._regs[RegClass.WEIGHT_INDEX])
-        picks = sel[..., :k, None] == np.arange(cfg.m)
-        weights = _masked(masks, RegClass.WEIGHT, self._regs[RegClass.WEIGHT])
-        # Each element's weight is the sum of the weights of the slots that
-        # select it, so one product per element covers every slot.
-        element_weights = (weights[..., :k, None] * picks).sum(axis=-2)
-        # Integer einsum wraps like ``(act * element_weights).sum(-1)`` but
+        weights = _masked(masks, RegClass.WEIGHT, self._regs[RegClass.WEIGHT])[..., :k, None]
+
+        def element_weights(sel):
+            # Each element's weight is the sum of the weights of the slots
+            # that select it, so one product per element covers every slot.
+            return (weights * (sel[..., :k, None] == np.arange(cfg.m))).sum(axis=-2)
+
+        flags = np.asarray(test4_mask)
+        stored = _masked(masks, RegClass.WEIGHT_INDEX, self._regs[RegClass.WEIGHT_INDEX])
+        per_element = element_weights(self._forced_sel if flags.all() else stored)
+        if flags.any() and not flags.all():  # per-wave flags that differ
+            per_wave = flags.reshape(flags.shape + (1,) * (act.ndim - 1))
+            per_element = np.where(per_wave, element_weights(self._forced_sel), per_element)
+        # Integer einsum wraps like ``(act * per_element).sum(-1)`` but
         # builds no product temporary.
-        return np.einsum("...m,...m->...", act, element_weights)
+        return np.einsum("...m,...m->...", act, per_element)
 
     def step(self, west_inputs=None, north_sums=None, test4_mask: bool = False):
         """Advance one clock cycle; returns the previous cycle's south outputs.
@@ -431,10 +452,11 @@ class TensorArray:
         self.cycles += 1
         return south
 
-    def _wave_inputs(self, blocks, north_values, bubbles: int):
-        """Wrapped (west blocks, north values) per wave, for the engine.
+    def _wave_inputs(self, blocks, north_values, test4_mask, bubbles: int):
+        """Wrapped (west blocks, north values, test-4 flags) per wave, for the engine.
 
-        The stream's X waves come first, then ``bubbles`` zero waves.
+        The stream's X waves come first, then ``bubbles`` zero waves, which
+        keep the last row's test-4 flag: the override holds while it drains.
         """
         cfg = self.config
         blocks = np.asarray(blocks, dtype=np.int64)
@@ -449,6 +471,11 @@ class TensorArray:
             norths = np.asarray(north_values, dtype=np.int64)
             if norths.shape != (x_rows,):
                 raise ValueError(f"need one north value per input row, got {norths.shape}")
+        flags = np.asarray(test4_mask, dtype=bool)
+        if flags.ndim:
+            if flags.shape != (x_rows,):
+                raise ValueError(f"need one test-4 flag per input row, got {flags.shape}")
+            flags = np.append(flags, np.full(bubbles, x_rows > 0 and flags[-1]))
 
         if not self.weights_loaded:
             raise RuntimeError("weights must be loaded before streaming through the array")
@@ -458,9 +485,9 @@ class TensorArray:
         act[:x_rows] = wrap_signed(blocks, cfg.data_width)
         psum = np.zeros((waves, cfg.cols), dtype=np.int64)
         psum[:x_rows] = wrap_signed(norths, cfg.acc_width)[:, None]
-        return act, psum
+        return act, psum, flags
 
-    def _wavefront(self, masks, act: np.ndarray, psum: np.ndarray, test4_mask: bool):
+    def _wavefront(self, masks, act: np.ndarray, psum: np.ndarray, test4_mask):
         """The wave engine: every wave of a skewed stream, with no clock loop.
 
         Wave x meets TPE (r, c) at cycle x + r + c, and registers are
@@ -490,21 +517,22 @@ class TensorArray:
             psum = _masked(masks, RegClass.OUTPUT, psum, np.s_[..., i, :, 0])
         return psum, seen, latched_out
 
-    def stream(self, blocks, north_values=None, test4_mask: bool = False):
+    def stream(self, blocks, north_values=None, test4_mask=False):
         """Feed X input rows with systolic skew and collect finished sums.
 
         ``blocks`` has shape (X, rows, m): the per-array-row activation block
         of each input row.  ``north_values[x]`` rides along with input row x
         and reaches each column's north port exactly when that row's wave
-        arrives there.  Returns (results, cycles) where results[x, j] is the
-        column-j sum for input row x and cycles == X + rows + cols - 1.
+        arrives there.  ``test4_mask`` is one flag or one per row.  Returns
+        (results, cycles) where results[x, j] is the column-j sum for input
+        row x and cycles == X + rows + cols - 1.
         """
         cfg = self.config
         # One trailing bubble wave (zero block, zero north value) is
         # appended: once the stream drains, it is what every TPE's
         # registers hold.
-        act, psum = self._wave_inputs(blocks, north_values, bubbles=1)
-        south, seen, latched_out = self._wavefront(self._masks, act, psum, test4_mask)
+        act, psum, flags = self._wave_inputs(blocks, north_values, test4_mask, bubbles=1)
+        south, seen, latched_out = self._wavefront(self._masks, act, psum, flags)
         # Column j latches what column j-1 passed on; column 0 the bubble.
         self._regs[RegClass.ACTIVATION][:, 0] = 0
         self._regs[RegClass.ACTIVATION][:, 1:] = seen[-1, :, :-1]
@@ -516,7 +544,7 @@ class TensorArray:
         return south[:x_rows], total
 
     def stream_lanes(
-        self, lanes: FaultLanes, blocks, north_values=None, test4_mask: bool = False
+        self, lanes: FaultLanes, blocks, north_values=None, test4_mask=False
     ) -> np.ndarray:
         """``stream`` once per fault lane, in one pass of the wave engine.
 
@@ -526,8 +554,8 @@ class TensorArray:
         returns with lane l's fault alone injected.  Registers and the cycle
         count are left untouched.
         """
-        act, psum = self._wave_inputs(blocks, north_values, bubbles=0)
-        south, _, _ = self._wavefront(lanes.masks, act[:, None], psum[:, None], test4_mask)
+        act, psum, flags = self._wave_inputs(blocks, north_values, test4_mask, bubbles=0)
+        south, _, _ = self._wavefront(lanes.masks, act[:, None], psum[:, None], flags)
         return np.broadcast_to(south, (len(south), lanes.count, self.config.cols))
 
     def run_compute(self, a):
@@ -556,15 +584,17 @@ class TensorArray:
 
         This is the comparison step of the self-test: the returned values are
         what the detection logic inspects, and they pass through the (possibly
-        faulty) edge accumulator register of each column.
+        faulty) edge accumulator register of each column.  Sums come as one
+        row or as one row per test; the last row latched is what stays.
         """
         cfg = self.config
-        raw = wrap_signed(np.asarray(raw_sums, dtype=np.int64), cfg.acc_width)
-        gold = wrap_signed(np.asarray(golden, dtype=np.int64), cfg.acc_width)
-        if raw.shape != (cfg.cols,) or gold.shape != (cfg.cols,):
-            raise ValueError(f"edge comparison needs {cfg.cols} values per side")
-        self._regs[RegClass.EDGE_ACCUMULATOR][0, :, 0] = raw
-        return self._edge_sum(self._masks, raw, gold)
+        raw = np.asarray(raw_sums, dtype=np.int64)
+        shape_ok = raw.ndim in (1, 2) and raw.size and raw.shape[-1] == cfg.cols
+        if not shape_ok or np.shape(golden) != raw.shape:
+            raise ValueError(f"edge comparison needs {cfg.cols} values per side and test")
+        last = raw.reshape(-1, cfg.cols)[-1]
+        self._regs[RegClass.EDGE_ACCUMULATOR][0, :, 0] = wrap_signed(last, cfg.acc_width)
+        return self._edge_sum(self._masks, raw, golden)
 
     def edge_compare_lanes(self, lanes: FaultLanes, raw_sums, golden) -> np.ndarray:
         """``edge_compare`` once per fault lane, without latching anything.
@@ -572,14 +602,13 @@ class TensorArray:
         ``raw_sums`` (..., lanes.count, cols) pass through each lane's own
         edge accumulators; ``golden`` broadcasts against them.
         """
+        return self._edge_sum(lanes.masks, raw_sums, golden)
+
+    def _edge_sum(self, masks, raw_sums, golden) -> np.ndarray:
         acc = self.config.acc_width
         raw = wrap_signed(np.asarray(raw_sums, dtype=np.int64), acc)
-        gold = wrap_signed(np.asarray(golden, dtype=np.int64), acc)
-        return self._edge_sum(lanes.masks, raw, gold)
-
-    def _edge_sum(self, masks, raw: np.ndarray, gold: np.ndarray) -> np.ndarray:
         edge = _masked(masks, RegClass.EDGE_ACCUMULATOR, raw, np.s_[..., 0, :, 0])
-        return wrap_signed(edge + gold, self.config.acc_width)
+        return wrap_signed(edge + wrap_signed(np.asarray(golden, dtype=np.int64), acc), acc)
 
     def output_registers(self) -> np.ndarray:
         """Forced read of all output registers (rows x cols)."""

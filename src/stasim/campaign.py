@@ -13,8 +13,9 @@ fault is actually harmless (bit-identical matmul results on random inputs).
 Faults are evaluated in fault lanes (parallel-pattern single-fault
 propagation): a chunk of faults, one per lane, shares each pass of the wave
 engine, detected lanes drop out after every tile and only the survivors go
-on to the next one.  Sessions are classified only for the lanes they
-detect.  Everything runs in the calling process; there is no worker pool.
+on to the next one.  Each fault is validated and turned into its mask words
+once per campaign; one ``classify`` call judges every lane a chunk's session
+detects.  Everything runs in the calling process; there is no worker pool.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ import numpy as np
 from stasim.array import ArrayConfig, FaultLanes, FaultSite, RegClass, TensorArray
 from stasim.selftest import (
     EXPECTED_COMPARED,
+    VERDICT_KINDS,
     GoldenReference,
-    Verdict,
     VerdictKind,
     classify,
     compute_golden,
@@ -41,7 +42,7 @@ from stasim.sparsity import SparseWeightTile
 #: Elements (lanes x waves x rows x cols x m) one lane pass may hold in each
 #: of its temporaries.  It sets how many faults share a pass, and so bounds
 #: the campaign's memory whatever the array size or fault count.
-LANE_BUDGET = 1 << 13
+LANE_BUDGET = 1 << 15
 
 
 def enumerate_faults(config: ArrayConfig) -> list[FaultSite]:
@@ -76,39 +77,42 @@ def random_tiles(
     return tiles
 
 
-def _classification_outcome(
-    fault: FaultSite, compared: np.ndarray, verdicts: tuple[Verdict, ...]
-) -> Optional[bool]:
-    """Did the verdict name the injected class?  None when unconstrained.
+#: The verdict that names each register class.
+_NAMING_VERDICT = {
+    RegClass.ACTIVATION: VerdictKind.ACTIVATION_WINDOW,
+    RegClass.WEIGHT: VerdictKind.WEIGHT_REGISTER,
+    RegClass.WEIGHT_INDEX: VerdictKind.WEIGHT_INDEX_REGISTER,
+    RegClass.OUTPUT: VerdictKind.OUTPUT_REGISTER,
+    RegClass.EDGE_ACCUMULATOR: VerdictKind.COMPARISON_ADDER,
+}
+_NAMING_CODES = np.array([VERDICT_KINDS.index(_NAMING_VERDICT[cls]) for cls in RegClass])
 
-    Weight, output and edge-accumulator faults must be named at the injected
-    column.  Index faults are only constrained when test 3 alone flagged
-    them, activation faults when test 4 alone did (the window must then
-    contain the injected column); any other signature leaves the verdict
-    unconstrained.
+
+def _classification_outcome(sites: np.ndarray, failed, kinds, windows):
+    """Per lane (checked, correct): did the verdict name the injected class?
+
+    Lane l ran with the fault of ``FaultLanes`` site ``sites[l]`` alone;
+    ``failed`` (4, lanes) flags the tests its session failed, and ``kinds``
+    and ``windows`` are the session's ``classify`` output.  Weight, output and
+    edge-accumulator faults must be named at the injected column.  Index
+    faults are only checked when test 3 alone flagged them, activation
+    faults when test 4 alone did (the window must then contain the injected
+    column); any other signature leaves the verdict unchecked.
     """
-    expected = np.array(EXPECTED_COMPARED, dtype=np.int64)[:, None]
-    t1f, t2f, t3f, t4f = (np.asarray(compared) != expected).any(axis=1)
-    cls = fault.reg_class
-    if cls is RegClass.WEIGHT:
-        return verdicts[fault.col].kind is VerdictKind.WEIGHT_REGISTER
-    if cls is RegClass.OUTPUT:
-        return verdicts[fault.col].kind is VerdictKind.OUTPUT_REGISTER
-    if cls is RegClass.EDGE_ACCUMULATOR:
-        return verdicts[fault.col].kind is VerdictKind.COMPARISON_ADDER
-    if cls is RegClass.WEIGHT_INDEX:
-        if t3f and not (t1f or t2f or t4f):
-            return verdicts[fault.col].kind is VerdictKind.WEIGHT_INDEX_REGISTER
-        return None
-    if cls is RegClass.ACTIVATION:
-        if t4f and not (t1f or t2f or t3f):
-            for v in verdicts:
-                if v.kind is VerdictKind.ACTIVATION_WINDOW:
-                    lo, hi = v.window
-                    return lo <= fault.col <= hi
-            return False
-        return None
-    return None
+    t1f, t2f, t3f, t4f = failed
+    classes, cols = sites[:, 0], sites[:, 2]
+    index = classes == list(RegClass).index(RegClass.WEIGHT_INDEX)
+    activation = classes == list(RegClass).index(RegClass.ACTIVATION)
+    first, lo, hi = windows.T
+    correct = np.where(
+        activation,
+        (first >= 0) & (lo <= cols) & (cols <= hi),
+        kinds[np.arange(len(cols)), cols] == _NAMING_CODES[classes],
+    )
+    checked = np.where(
+        index, t3f & ~(t1f | t2f | t4f), ~activation | (t4f & ~(t1f | t2f | t3f))
+    )
+    return checked, correct
 
 
 def _harmless_harness(
@@ -141,10 +145,10 @@ def _harmless_harness(
     return stacks, clean
 
 
-def _sweep(array, tiles, faults, ids, waves, settle) -> list[int]:
-    """Walk ``faults[i]`` for ``i`` in ``ids`` through ``tiles`` in fault lanes.
+def _sweep(array, tiles, universe: FaultLanes, ids, waves, settle) -> list[int]:
+    """Walk lanes ``ids`` of ``universe`` through ``tiles``.
 
-    Per tile, the faults still live are cut into chunks of as many lanes as
+    Per tile, the lanes still live are cut into chunks of as many lanes as
     ``LANE_BUDGET`` allows for passes of ``waves`` waves, and
     ``settle(tile index, lanes, lane ids)`` returns one flag per lane of a
     chunk: flagged lanes drop out, the rest go on to the next tile.  Returns
@@ -152,18 +156,17 @@ def _sweep(array, tiles, faults, ids, waves, settle) -> list[int]:
     """
     cfg = array.config
     per_pass = max(1, LANE_BUDGET // (max(waves, 1) * cfg.rows * cfg.cols * cfg.m))
-    live = list(ids)
+    live = np.asarray(ids, dtype=np.int64)
     for ti, tile in enumerate(tiles):
-        if not live:
+        if not len(live):
             break
         array.load_weights(tile)
         left = []
         for start in range(0, len(live), per_pass):
             chunk = live[start : start + per_pass]
-            settled = settle(ti, FaultLanes(cfg, [faults[i] for i in chunk]), chunk)
-            left.extend(i for i, done in zip(chunk, settled) if not done)
-        live = left
-    return live
+            left.append(chunk[~settle(ti, universe.take(chunk), chunk)])
+        live = np.concatenate(left)
+    return live.tolist()
 
 
 def _evaluate_faults(
@@ -176,6 +179,7 @@ def _evaluate_faults(
 ) -> list[tuple[Optional[int], Optional[bool], Optional[bool]]]:
     """Outcome triple (detection tile, classification ok, harmless) per fault."""
     array = TensorArray(config)
+    universe = FaultLanes(config, faults)
     detected_tile: list[Optional[int]] = [None] * len(faults)
     classification_ok: list[Optional[bool]] = [None] * len(faults)
     harmless: list[Optional[bool]] = [None] * len(faults)
@@ -183,19 +187,22 @@ def _evaluate_faults(
 
     def detect(ti, lanes, live):
         raw, compared = lane_session(array, goldens[ti], lanes)
-        hits = (compared != expected).any(axis=(0, 2))
-        for lane in np.flatnonzero(hits):
-            fi = live[lane]
+        failed = (compared != expected).any(axis=2)
+        hits = failed.any(axis=0)
+        found = live[hits].tolist()
+        for fi in found:
             detected_tile[fi] = ti
-            if verify_classification:
-                verdicts = classify(raw[:, lane], compared[:, lane], goldens[ti])
-                classification_ok[fi] = _classification_outcome(
-                    faults[fi], compared[:, lane], verdicts
-                )
+        if verify_classification and found:
+            kinds, windows = classify(raw[:, hits], compared[:, hits], goldens[ti])
+            checked, correct = _classification_outcome(
+                lanes.sites[hits], failed[:, hits], kinds, windows
+            )
+            for fi, check, ok in zip(found, checked.tolist(), correct.tolist()):
+                classification_ok[fi] = ok if check else None
         return hits
 
     # Budgeted on the session's four test vectors.
-    undetected = _sweep(array, tiles, faults, range(len(faults)), 4, detect)
+    undetected = _sweep(array, tiles, universe, range(len(faults)), 4, detect)
 
     if harness is not None:
         stacks, clean = harness
@@ -206,7 +213,7 @@ def _evaluate_faults(
 
         for fi in undetected:
             harmless[fi] = False
-        for fi in _sweep(array, tiles, faults, undetected, len(stacks[0]), differs):
+        for fi in _sweep(array, tiles, universe, undetected, len(stacks[0]), differs):
             harmless[fi] = True
     return list(zip(detected_tile, classification_ok, harmless))
 

@@ -8,7 +8,8 @@ classifier tell weight-register, output-register and comparison-adder faults
 apart from the complementarity pattern alone; the third exercises the
 position-index registers, and the fourth overrides them with a fixed
 column-dependent selection so that activation-register faults reappear with a
-recognisable column period.
+recognisable column period.  The four vectors run as one stream of the wave
+engine, and ``classify`` judges any number of sessions at once.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Iterable, Optional
 
 import numpy as np
@@ -137,8 +139,19 @@ def locate_activation(test4_failures: Iterable[int], m: int) -> Optional[tuple[i
     return (max(0, first - m + 1), first)
 
 
-def classify(raw, compared, golden: GoldenReference) -> tuple[Verdict, ...]:
+#: ``classify`` names each verdict kind by its position in this tuple.
+VERDICT_KINDS = tuple(VerdictKind)
+# The positions, in ``VerdictKind`` order.
+_OK, _WEIGHT, _OUTPUT, _ADDER, _INDEX, _WINDOW, _UNCLASSIFIED = range(len(VERDICT_KINDS))
+
+
+def classify(raw, compared, golden: GoldenReference) -> tuple[np.ndarray, np.ndarray]:
     """Name the faulty register class behind each column's misbehaviour.
+
+    ``raw`` and ``compared`` are sessions' sums, (4, ..., cols).  Returns
+    ``kinds`` (..., cols), verdicts as positions in ``VERDICT_KINDS``, and
+    ``windows`` (..., 3), each session's (first test-4 failure, window start,
+    window end), -1s where it has no window.
 
     Columns where tests 1/2 deviate are judged by complementarity: the first
     two column sums are complementary before golden addition and again after
@@ -147,59 +160,43 @@ def classify(raw, compared, golden: GoldenReference) -> tuple[Verdict, ...]:
     the output-register chain.  Columns clean on tests 1/2 but failing test 3
     indict a position-index register.  Columns failing only test 4 are named
     activation windows; the window itself is located from every test-4
-    failure, including columns already named by earlier tests, because a
-    corrupted activation element disturbs the selection test at all columns
-    in its residue class and the earliest one bounds the fault position.
+    failure (``locate_activation``), including columns already named by
+    earlier tests, because a corrupted activation element disturbs the
+    selection test at all columns in its residue class and the earliest one
+    bounds the fault position.
     """
     raw = np.asarray(raw, dtype=np.int64)
     compared = np.asarray(compared, dtype=np.int64)
-    cols = golden.cols
+    fails = compared != np.reshape(EXPECTED_COMPARED, (4,) + (1,) * (compared.ndim - 1))
     # Tests 1 and 2 are bitwise complements when every one of the
     # accumulator's bits differs between them.
     ones = mask_of(golden.acc_width)
-    raw_comps = ((raw[0] ^ raw[1]) & ones) == ones
-    compared_comps = ((compared[0] ^ compared[1]) & ones) == ones
+    raw_comp = ((raw[0] ^ raw[1]) & ones) == ones
+    compared_comp = ((compared[0] ^ compared[1]) & ones) == ones
+    pair_kind = np.where(
+        raw_comp,
+        np.where(compared_comp, _WEIGHT, _ADDER),
+        np.where(compared_comp, _UNCLASSIFIED, _OUTPUT),
+    )
+    test4 = fails[3]
+    first = test4.argmax(axis=-1)
+    offset = np.arange(test4.shape[-1]) - first[..., None]
+    located = test4.any(axis=-1) & ~(test4 & (offset % golden.m != 0)).any(axis=-1)
+    test4_kind = np.where(test4, np.where(located, _WINDOW, _UNCLASSIFIED)[..., None], _OK)
+    kinds = np.where(fails[0] | fails[1], pair_kind, np.where(fails[2], _INDEX, test4_kind))
+    window = np.stack([first, np.maximum(0, first - golden.m + 1), first], axis=-1)
+    return kinds, np.where(located[..., None], window, -1)
 
-    verdicts: dict[int, Verdict] = {}
-    test4_only: list[int] = []
-    test4_all = [
-        j for j in range(cols) if compared[3, j] != EXPECTED_COMPARED[3]
-    ]
-    for j in range(cols):
-        t12_bad = compared[0, j] != EXPECTED_COMPARED[0] or (
-            compared[1, j] != EXPECTED_COMPARED[1]
-        )
-        if t12_bad:
-            raw_comp, compared_comp = raw_comps[j], compared_comps[j]
-            if raw_comp and compared_comp:
-                kind = VerdictKind.WEIGHT_REGISTER
-            elif not raw_comp and not compared_comp:
-                kind = VerdictKind.OUTPUT_REGISTER
-            elif raw_comp and not compared_comp:
-                kind = VerdictKind.COMPARISON_ADDER
-            else:
-                kind = VerdictKind.UNCLASSIFIED
-            verdicts[j] = Verdict(j, kind)
-        elif compared[2, j] != EXPECTED_COMPARED[2]:
-            verdicts[j] = Verdict(j, VerdictKind.WEIGHT_INDEX_REGISTER)
-        elif compared[3, j] != EXPECTED_COMPARED[3]:
-            test4_only.append(j)
-        else:
-            verdicts[j] = Verdict(j, VerdictKind.OK)
 
-    if test4_only:
-        window = locate_activation(test4_all, golden.m)
-        for j in test4_only:
-            if window is None:
-                verdicts[j] = Verdict(j, VerdictKind.UNCLASSIFIED)
-            else:
-                verdicts[j] = Verdict(
-                    j,
-                    VerdictKind.ACTIVATION_WINDOW,
-                    first_col=test4_all[0],
-                    window=window,
-                )
-    return tuple(verdicts[j] for j in range(cols))
+def session_verdicts(kinds, windows) -> tuple[Verdict, ...]:
+    """One session's ``classify`` output, (cols,) and (3,), as verdicts."""
+    first, lo, hi = np.asarray(windows).tolist()
+    return tuple(
+        Verdict(j, VerdictKind.ACTIVATION_WINDOW, first, (lo, hi))
+        if code == _WINDOW
+        else Verdict(j, VERDICT_KINDS[code])
+        for j, code in enumerate(np.asarray(kinds).tolist())
+    )
 
 
 @dataclass(frozen=True)
@@ -235,16 +232,17 @@ class TestReport:
         return json.dumps(self.to_dict(), **kwargs)
 
 
-def _session_passes(config: ArrayConfig):
-    """The session's streams, as (blocks, north values, test4_mask) each.
+@lru_cache(maxsize=16)
+def _session_stream(rows: int, m: int) -> tuple[np.ndarray, ...]:
+    """The four tests as one read-only (blocks, north values, test-4 flags) stream.
 
-    Tests 1-3 share one pipelined pass; test 4 runs as a second pass because
-    its index-override signal applies array-wide per cycle and must not
-    overlap earlier waves still in flight.
+    Waves never interact, so test 4's selection override is a per-wave flag.
     """
-    blocks = np.stack([np.tile(v, (config.rows, 1)) for v in session_vectors(config.m)])
-    norths = np.array(TOP_SUMS, dtype=np.int64)
-    return ((blocks[:3], norths[:3], False), (blocks[3:], norths[3:], True))
+    blocks = np.stack([np.tile(v, (rows, 1)) for v in session_vectors(m)])
+    stream = (blocks, np.array(TOP_SUMS, dtype=np.int64), np.arange(4) == 3)
+    for part in stream:
+        part.flags.writeable = False
+    return stream
 
 
 def _check_session(array: TensorArray, golden: GoldenReference) -> None:
@@ -262,25 +260,24 @@ def run_session(
 ) -> TestReport:
     """Run the four-test session against the currently loaded tile.
 
-    Occupancy accounting is the driver's business: a session costs exactly
-    four initiation cycles there, since drain overlaps resumed streaming.
+    The four vectors share one stream, but the array's cycle count grows by
+    two passes, ``4 + 2 * (rows + cols - 1)``: in hardware test 4's override
+    acts array-wide per cycle, so it waits for tests 1-3 to drain.  Occupancy
+    accounting is the driver's business: a session costs exactly four
+    initiation cycles there, since drain overlaps resumed streaming.
     """
     _check_session(array, golden)
-    raw = np.vstack(
-        [array.stream(b, n, test4_mask=t4)[0] for b, n, t4 in _session_passes(array.config)]
-    )
-    compared = np.stack(
-        [array.edge_compare(raw[t], golden.per_test[t]) for t in range(4)]
-    )
-    expected = np.array(EXPECTED_COMPARED, dtype=np.int64)[:, None]
-    detected = bool(np.any(compared != expected))
-    verdicts = classify(raw, compared, golden)
+    cfg = array.config
+    raw, _ = array.stream(*_session_stream(cfg.rows, cfg.m))
+    array.cycles += cfg.rows + cfg.cols - 1
+    compared = array.edge_compare(raw, golden.per_test)
+    kinds, windows = classify(raw, compared, golden)
     return TestReport(
         tile_id=tile_id,
         raw=tuple(tuple(int(v) for v in row) for row in raw),
         compared=tuple(tuple(int(v) for v in row) for row in compared),
-        detected=detected,
-        verdicts=verdicts,
+        detected=bool((kinds != _OK).any()),  # every deviating column has a verdict
+        verdicts=session_verdicts(kinds, windows),
     )
 
 
@@ -294,10 +291,6 @@ def lane_session(
     classified, and registers and the cycle count are left untouched.
     """
     _check_session(array, golden)
-    raw = np.concatenate(
-        [
-            array.stream_lanes(lanes, b, n, test4_mask=t4)
-            for b, n, t4 in _session_passes(array.config)
-        ]
-    )
+    cfg = array.config
+    raw = array.stream_lanes(lanes, *_session_stream(cfg.rows, cfg.m))
     return raw, array.edge_compare_lanes(lanes, raw, golden.per_test[:, None])

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from stasim.arith import outside_range, wrap_signed
+from stasim.arith import check_signed_range, outside_range
 
 
 @dataclass(frozen=True)
@@ -121,7 +121,14 @@ class SparseWeightTile:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed tile description: {exc}") from exc
-        return cls(values, indexes, m=m, n=n, data_width=width)
+        tile = cls(values, indexes, m=m, n=n, data_width=width)
+        rows, cols = data.get("rows", tile.source_dims[0]), data.get("cols", tile.grid_cols)
+        if (rows, cols) != tile.source_dims:
+            raise ValueError(
+                f"tile rows {rows} and cols {cols} disagree with its "
+                f"{tile.grid_rows}x{tile.grid_cols} block grid of m={m}"
+            )
+        return tile
 
 
 def pack_tile(
@@ -144,9 +151,8 @@ def pack_tile(
     rows, cols = w.shape
     if rows % m != 0:
         raise ValueError(f"{rows} weight rows not divisible by block size {m}")
+    check_signed_range("weight", w, data_width)
     w = w.astype(np.int64)
-    if np.any(wrap_signed(w, data_width) != w):
-        raise ValueError(f"weight values exceed {data_width}-bit signed range")
     blocks = w.reshape(rows // m, m, cols).transpose(0, 2, 1)
     # A stable sort on descending magnitude ranks ties by position.
     kept = np.sort(np.argsort(-np.abs(blocks), axis=-1, kind="stable")[..., :n], axis=-1)

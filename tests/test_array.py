@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from stasim.arith import Word, force_bit, wrap_signed
-from stasim.array import ArrayConfig, FaultSite, RegClass, TensorArray, TpeState
+from stasim.array import ArrayConfig, FaultLanes, FaultSite, RegClass, TensorArray, TpeState
 from stasim.campaign import enumerate_faults
 from stasim.sparsity import SparseWeightTile, densify, pack_tile
 
@@ -200,6 +200,12 @@ def test_compute_shape_validation():
     array.load_weights(pack_tile(np.ones((8, 2), dtype=np.int64), 4, 2))
     with pytest.raises(ValueError):
         array.run_compute(np.ones((3, 7), dtype=np.int64))
+    blocks = np.ones((3, 2, 4), dtype=np.int64)
+    for flags in ([True, False], [[True, False, True]]):
+        with pytest.raises(ValueError, match="one test-4 flag per input row"):
+            array.stream(blocks, test4_mask=flags)
+        with pytest.raises(ValueError, match="one test-4 flag per input row"):
+            array.stream_lanes(FaultLanes(array.config, []), blocks, test4_mask=flags)
 
 
 def test_load_cycle_count_and_state_reset():
@@ -384,8 +390,12 @@ def test_edge_fault_applies_to_comparison():
     array.inject(FaultSite(RegClass.EDGE_ACCUMULATOR, 0, 1, 0, 3, 1))
     compared = array.edge_compare([5, 5], [-5, -5])
     assert compared.tolist() == [0, (5 | 8) - 5]
-    with pytest.raises(ValueError):
-        array.edge_compare([1], [1])
+    # One call compares a row per test.
+    compared = array.edge_compare([[5, 5], [1, 16]], [[-5, -5], [0, 0]])
+    assert compared.tolist() == [[0, (5 | 8) - 5], [1, 24]]
+    for raw, gold in [([1], [1]), ([[1, 1]], [1, 1]), (np.zeros((0, 2)), np.zeros((0, 2)))]:
+        with pytest.raises(ValueError):
+            array.edge_compare(raw, gold)
 
 
 def test_multiple_faults_compose():

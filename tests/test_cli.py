@@ -284,6 +284,16 @@ def test_csv_cell_beyond_int64_exits_2(tmp_path, capsys):
     assert f"big.csv:2: column 1: value {1 << 63} does not fit 64 bits" in err
 
 
+@pytest.mark.parametrize("command", ["prune", "selftest"])
+def test_out_of_range_weight_exits_2_with_its_location(command, tmp_path, capsys):
+    w = np.ones((8, 4), dtype=np.int64)
+    w[6, 3] = 40000
+    w_csv = write_csv(tmp_path / "w.csv", w)
+    out = ["-o", str(tmp_path / "out.json")]
+    assert main([command, "--rows", "2", "--cols", "4", w_csv, *out]) == 2
+    assert "weight row 6 column 3: value 40000 outside 16-bit" in capsys.readouterr().err
+
+
 def test_campaign_negative_magnitude_exits_2(tmp_path, capsys):
     args = ["campaign", "--rows", "2", "--cols", "2", "--magnitude", "-5"]
     assert main(args + ["-o", str(tmp_path / "c.json")]) == 2

@@ -2,7 +2,9 @@
 
 The references are the per-fault loops the lanes replace: inject a single
 fault, then ``stream`` or run one ``run_session`` per tile until a session
-flags it, and check an undetected fault's harmlessness with ``run_compute``.
+flags it, classify it with the scalar classifier copies of
+``test_classify``, and check an undetected fault's harmlessness with
+``run_compute``.
 """
 
 from unittest.mock import patch
@@ -16,6 +18,7 @@ from stasim.array import FaultLanes, FaultSite, RegClass, TensorArray
 from stasim.campaign import run_campaign
 from stasim.selftest import run_session
 from stasim.sparsity import SparseWeightTile
+from test_classify import scalar_classify, scalar_outcome
 from test_stream import configs
 
 
@@ -33,9 +36,8 @@ def reference_evaluate(config, tiles, goldens, faults, verify_classification, ha
             if report.detected:
                 detected_tile = ti
                 if verify_classification:
-                    classification_ok = campaign._classification_outcome(
-                        fault, np.array(report.compared), report.verdicts
-                    )
+                    verdicts = scalar_classify(report.raw, report.compared, golden)
+                    classification_ok = scalar_outcome(fault, report.compared, verdicts)
                 break
         if detected_tile is None and harness is not None:
             stacks, clean = harness
@@ -90,7 +92,11 @@ def mixed_faults(rng, cfg, count):
 @given(
     cfg=configs(),
     fault_count=st.integers(5, 14),
-    blocks=st.lists(st.tuples(st.integers(0, 5), st.booleans()), min_size=1, max_size=2),
+    blocks=st.lists(
+        st.tuples(st.integers(0, 5), st.sampled_from([False, True, "rows"])),
+        min_size=1,
+        max_size=2,
+    ),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_stream_lanes_match_one_fault_at_a_time(cfg, fault_count, blocks, seed):
@@ -109,17 +115,22 @@ def test_stream_lanes_match_one_fault_at_a_time(cfg, fault_count, blocks, seed):
     for x_rows, test4_mask in blocks:
         west = rng.integers(-2 * d_hi, 2 * d_hi, size=(x_rows, cfg.rows, cfg.m))
         north = rng.integers(-2 * a_hi, 2 * a_hi, size=x_rows)
+        if test4_mask == "rows":
+            test4_mask = rng.integers(0, 2, size=x_rows).astype(bool)
         got = array.stream_lanes(lanes, west, north, test4_mask=test4_mask)
         assert got.shape == (x_rows, len(faults), cfg.cols)
-        raw = rng.integers(-2 * a_hi, 2 * a_hi, size=(len(faults), cfg.cols))
-        gold = rng.integers(-2 * a_hi, 2 * a_hi, size=cfg.cols)
+        # One to four tests' sums per lane, as a session compares them.
+        tests = int(rng.integers(1, 5))
+        raw = rng.integers(-2 * a_hi, 2 * a_hi, size=(tests, len(faults), cfg.cols))
+        gold = rng.integers(-2 * a_hi, 2 * a_hi, size=(tests, 1, cfg.cols))
         compared = array.edge_compare_lanes(lanes, raw, gold)
         for lane, fault in enumerate(faults):
             single.clear_faults()
             single.inject(fault)
             want, _ = single.stream(west, north, test4_mask=test4_mask)
             assert np.array_equal(got[:, lane], want)
-            assert np.array_equal(compared[lane], single.edge_compare(raw[lane], gold))
+            want = single.edge_compare(raw[:, lane], gold[:, 0])
+            assert np.array_equal(compared[:, lane], want)
     assert array.cycles == cycles
     for cls, stored in array._regs.items():
         assert np.array_equal(stored, regs[cls])

@@ -9,6 +9,7 @@ from stasim.arith import Word, bit_not, is_bitwise_complement, wrap_signed
 from stasim.array import ArrayConfig, FaultSite, RegClass, TensorArray
 from stasim.selftest import (
     EXPECTED_COMPARED,
+    TOP_SUMS,
     GoldenReference,
     VerdictKind,
     classify,
@@ -16,8 +17,10 @@ from stasim.selftest import (
     locate_activation,
     run_session,
     session_vectors,
+    session_verdicts,
 )
 from stasim.sparsity import SparseWeightTile, densify, pack_tile
+from test_stream import stepped_stream
 
 
 def random_tile(rng, config, magnitude=None):
@@ -175,6 +178,44 @@ def test_session_is_non_destructive():
     run_session(tested, compute_golden(tile, cfg))
     got, _ = tested.run_compute(a)
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize(
+    "cfg, fault",
+    [
+        (ArrayConfig(), None),
+        (ArrayConfig(), FaultSite(RegClass.ACTIVATION, 2, 3, 1, 0, 1)),
+        (ArrayConfig(), FaultSite(RegClass.WEIGHT_INDEX, 4, 1, 0, 1, 1)),
+        (ArrayConfig(rows=3, cols=5, m=3, n=2), FaultSite(RegClass.ACTIVATION, 0, 1, 2, 4, 1)),
+        (ArrayConfig(rows=3, cols=5, m=3, n=2), FaultSite(RegClass.OUTPUT, 1, 4, 0, 2, 1)),
+    ],
+    ids=["clean", "activation", "index", "3x5-activation", "3x5-output"],
+)
+def test_session_leaves_the_two_pass_state(cfg, fault):
+    """A session costs two passes of cycles and leaves the stepper's registers.
+
+    The reference steps tests 1-3 as one pass, then test 4 under the
+    selection override as a second; a stuck-at-1 activation bit makes the
+    drained registers depend on the override.
+    """
+    tile = random_tile(np.random.default_rng(199), cfg)
+    array, ref = TensorArray(cfg), TensorArray(cfg)
+    for each in (array, ref):
+        if fault is not None:
+            each.inject(fault)
+        each.load_weights(tile)
+    before = array.cycles
+    report = run_session(array, compute_golden(tile, cfg))
+    assert array.cycles - before == 4 + 2 * (cfg.rows + cfg.cols - 1)
+
+    blocks = np.stack([np.tile(v, (cfg.rows, 1)) for v in session_vectors(cfg.m)])
+    tests_1_3, _ = stepped_stream(ref, blocks[:3], TOP_SUMS[:3], False)
+    test_4, _ = stepped_stream(ref, blocks[3:], TOP_SUMS[3:], True)
+    assert report.raw == tuple(map(tuple, np.vstack([tests_1_3, test_4]).tolist()))
+    assert array.cycles == ref.cycles
+    assert np.array_equal(array.output_registers(), ref.output_registers())
+    for row, col in np.ndindex(cfg.rows, cfg.cols):
+        assert array.tpe_state(row, col) == ref.tpe_state(row, col)
 
 
 def test_session_preconditions():
@@ -356,7 +397,7 @@ def test_classify_contradictory_pattern_is_unclassified():
     golden = GoldenReference(np.zeros((4, 1), dtype=np.int64), m=4, acc_width=32)
     raw = np.array([[0], [0], [0], [0]])
     compared = np.array([[5], [-6], [0], [0]])  # 5 and -6 are complementary
-    verdicts = classify(raw, compared, golden)
+    verdicts = session_verdicts(*classify(raw, compared, golden))
     assert verdicts[0].kind is VerdictKind.UNCLASSIFIED
 
 
@@ -367,7 +408,7 @@ def test_classify_aperiodic_test4_failures_unclassified():
     compared[1, :] = -1
     compared[3, 2] = 9
     compared[3, 5] = 9  # spacing 3 breaks the period-4 pattern
-    verdicts = classify(raw, compared, golden)
+    verdicts = session_verdicts(*classify(raw, compared, golden))
     assert verdicts[2].kind is VerdictKind.UNCLASSIFIED
     assert verdicts[5].kind is VerdictKind.UNCLASSIFIED
 
@@ -387,7 +428,7 @@ def test_classify_window_pools_every_test4_failure():
     compared[1, 2] = -8  # complementary raw and compared pairs at column 2
     compared[3, 2] = -3
     compared[3, 6] = -3  # test 4 fails at columns 2 and 6
-    verdicts = classify(raw, compared, golden)
+    verdicts = session_verdicts(*classify(raw, compared, golden))
     assert verdicts[2].kind is VerdictKind.WEIGHT_REGISTER
     assert verdicts[6].kind is VerdictKind.ACTIVATION_WINDOW
     assert verdicts[6].first_col == 2

@@ -146,6 +146,14 @@ def test_pack_argument_validation():
     pack_tile(np.full((4, 2), 40000, dtype=int), 4, 2, data_width=18)
 
 
+def test_pack_names_the_out_of_range_weight():
+    w = np.zeros((8, 3), dtype=int)
+    w[5, 2] = 40000
+    message = r"weight row 5 column 2: value 40000 outside 16-bit signed range"
+    with pytest.raises(ValueError, match=message):
+        pack_tile(w, 4, 2)
+
+
 def test_validate_nm():
     w = np.array([[1], [2], [3], [0]])
     assert not validate_nm(w, 4, 2)
@@ -181,6 +189,20 @@ def test_tile_from_dict_rejects_malformed():
     data = tile.to_dict()
     data["blocks"][0][0]["values"] = [1, 2, 3]
     with pytest.raises(ValueError):
+        SparseWeightTile.from_dict(data)
+
+
+@pytest.mark.parametrize(
+    "rows, cols",
+    [(999, 7), (8, 7), (4, 2), ("8", 2)],
+    ids=["both", "cols", "rows", "rows-text"],
+)
+def test_tile_from_dict_rejects_a_shape_that_disagrees_with_the_blocks(rows, cols):
+    data = pack_tile(np.ones((8, 2), dtype=int), 4, 2).to_dict()
+    assert (data["rows"], data["cols"]) == (8, 2)
+    data["rows"], data["cols"] = rows, cols
+    message = rf"tile rows {rows} and cols {cols} disagree with its 2x2 block grid of m=4"
+    with pytest.raises(ValueError, match=message):
         SparseWeightTile.from_dict(data)
 
 

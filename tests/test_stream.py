@@ -1,5 +1,7 @@
 """Property test: the wave-by-wave ``stream`` against the cycle-level stepper."""
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -87,7 +89,7 @@ def assert_same_state(wave, ref):
     cfg=configs(),
     fault_classes=st.lists(st.sampled_from(list(RegClass)), max_size=3),
     streams=st.lists(
-        st.tuples(st.integers(0, 8), st.booleans(), st.booleans()),
+        st.tuples(st.integers(0, 8), st.booleans(), st.sampled_from([False, True, "rows"])),
         min_size=1,
         max_size=2,
     ),
@@ -130,10 +132,20 @@ def test_wave_stream_matches_stepper(cfg, fault_classes, streams, warmup_steps, 
             if with_norths
             else np.zeros(x_rows, dtype=np.int64)
         )
+        want_rows, last = None, test4_mask
+        if test4_mask == "rows":
+            # Waves never interact: each row gives what a whole stream under
+            # its flag gives, and the drained registers are the last flag's.
+            test4_mask = rng.integers(0, 2, size=x_rows).astype(bool)
+            off, on = (stepped_stream(copy.deepcopy(ref), blocks, norths, f)[0] for f in (0, 1))
+            want_rows = np.where(test4_mask[:, None], on, off)
+            last = x_rows > 0 and bool(test4_mask[-1])
         got, got_cycles = wave.stream(
             blocks, norths if with_norths else None, test4_mask=test4_mask
         )
-        want, want_cycles = stepped_stream(ref, blocks, norths, test4_mask)
+        want, want_cycles = stepped_stream(ref, blocks, norths, last)
+        if want_rows is not None:
+            want = want_rows
         assert got.shape == want.shape == (x_rows, cfg.cols)
         assert np.array_equal(got, want)
         assert got_cycles == want_cycles == x_rows + cfg.rows + cfg.cols - 1
