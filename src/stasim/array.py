@@ -307,10 +307,12 @@ class TensorArray:
     def __init__(self, config: ArrayConfig):
         self.config = config
         r, c, m, n = config.rows, config.cols, config.m, config.n
-        # Stored register files, one (rows, cols, elements) array per class.
+        # Stored register files, one (rows, cols, elements) array per TPE
+        # class.  Edge accumulators only pass sums on, so they store nothing.
         self._regs = {
             cls: np.zeros(spec.shape, dtype=np.int64)
             for cls, spec in config.reg_specs.items()
+            if cls is not RegClass.EDGE_ACCUMULATOR
         }
         # Selection pattern the self-test override forces: column j picks
         # activation element j mod m, in every slot of every row.
@@ -366,7 +368,7 @@ class TensorArray:
         cfg.check_tile(tile)
         self._regs[RegClass.WEIGHT][:] = tile.values
         self._regs[RegClass.WEIGHT_INDEX][:] = tile.indexes
-        for cls in (RegClass.ACTIVATION, RegClass.OUTPUT, RegClass.EDGE_ACCUMULATOR):
+        for cls in (RegClass.ACTIVATION, RegClass.OUTPUT):
             self._regs[cls][:] = 0
         self.weights_loaded = True
         self.cycles += cfg.rows
@@ -580,24 +582,22 @@ class TensorArray:
     # -- south edge and read-back ------------------------------------------
 
     def edge_compare(self, raw_sums, golden) -> np.ndarray:
-        """Latch raw column sums into the edge accumulators and add goldens.
+        """Pass raw column sums through the edge accumulators and add goldens.
 
         This is the comparison step of the self-test: the returned values are
         what the detection logic inspects, and they pass through the (possibly
         faulty) edge accumulator register of each column.  Sums come as one
-        row or as one row per test; the last row latched is what stays.
+        row or as one row per test.
         """
         cfg = self.config
         raw = np.asarray(raw_sums, dtype=np.int64)
         shape_ok = raw.ndim in (1, 2) and raw.size and raw.shape[-1] == cfg.cols
         if not shape_ok or np.shape(golden) != raw.shape:
             raise ValueError(f"edge comparison needs {cfg.cols} values per side and test")
-        last = raw.reshape(-1, cfg.cols)[-1]
-        self._regs[RegClass.EDGE_ACCUMULATOR][0, :, 0] = wrap_signed(last, cfg.acc_width)
         return self._edge_sum(self._masks, raw, golden)
 
     def edge_compare_lanes(self, lanes: FaultLanes, raw_sums, golden) -> np.ndarray:
-        """``edge_compare`` once per fault lane, without latching anything.
+        """``edge_compare`` once per fault lane.
 
         ``raw_sums`` (..., lanes.count, cols) pass through each lane's own
         edge accumulators; ``golden`` broadcasts against them.

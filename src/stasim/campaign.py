@@ -16,13 +16,15 @@ engine, detected lanes drop out after every tile and only the survivors go
 on to the next one.  Each fault is validated and turned into its mask words
 once per campaign; one ``classify`` call judges every lane a chunk's session
 detects.  Everything runs in the calling process; there is no worker pool.
+Outcomes fill one integer table by lane id, a row per fault, and the report
+counts it with ``np.bincount`` by register class and by detection tile.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -65,11 +67,13 @@ def random_tiles(
     count: int,
     magnitude: int | None = None,
 ) -> list[SparseWeightTile]:
-    """Random dense weight tiles, pruned and packed for the array."""
-    if magnitude is None:
-        lo, hi = -(1 << (config.data_width - 1)), 1 << (config.data_width - 1)
-    else:
-        lo, hi = -magnitude, magnitude + 1
+    """Random dense weight tiles, pruned and packed; ``magnitude`` bounds |weight|."""
+    limit = (1 << (config.data_width - 1)) - 1
+    if magnitude is not None and not 0 <= magnitude <= limit:
+        raise ValueError(
+            f"magnitude {magnitude} outside 0..{limit} for {config.data_width}-bit weights"
+        )
+    lo, hi = (-limit - 1, limit + 1) if magnitude is None else (-magnitude, magnitude + 1)
     tiles = []
     for _ in range(count):
         dense = rng.integers(lo, hi, size=config.tile_shape, dtype=np.int64)
@@ -89,7 +93,7 @@ _NAMING_CODES = np.array([VERDICT_KINDS.index(_NAMING_VERDICT[cls]) for cls in R
 
 
 def _classification_outcome(sites: np.ndarray, failed, kinds, windows):
-    """Per lane (checked, correct): did the verdict name the injected class?
+    """Per lane, 1 if the verdict named the injected class, 0 if not, -1 if unchecked.
 
     Lane l ran with the fault of ``FaultLanes`` site ``sites[l]`` alone;
     ``failed`` (4, lanes) flags the tests its session failed, and ``kinds``
@@ -112,7 +116,7 @@ def _classification_outcome(sites: np.ndarray, failed, kinds, windows):
     checked = np.where(
         index, t3f & ~(t1f | t2f | t4f), ~activation | (t4f & ~(t1f | t2f | t3f))
     )
-    return checked, correct
+    return np.where(checked, correct, -1)
 
 
 def _harmless_harness(
@@ -173,36 +177,33 @@ def _evaluate_faults(
     config: ArrayConfig,
     tiles: Sequence[SparseWeightTile],
     goldens: Sequence[GoldenReference],
-    faults: Sequence[FaultSite],
+    universe: FaultLanes,
     verify_classification: bool,
     harness: Optional[tuple[list[np.ndarray], list[np.ndarray]]],
-) -> list[tuple[Optional[int], Optional[bool], Optional[bool]]]:
-    """Outcome triple (detection tile, classification ok, harmless) per fault."""
+) -> np.ndarray:
+    """The outcome table, one row per ``universe`` lane, -1 where unknown.
+
+    Columns: detection tile, then the classification-ok and harmless flags (0/1).
+    """
     array = TensorArray(config)
-    universe = FaultLanes(config, faults)
-    detected_tile: list[Optional[int]] = [None] * len(faults)
-    classification_ok: list[Optional[bool]] = [None] * len(faults)
-    harmless: list[Optional[bool]] = [None] * len(faults)
+    table = np.full((universe.count, 3), -1, dtype=np.int64)
+    detected_tile, classification_ok, harmless = table.T
     expected = np.array(EXPECTED_COMPARED, dtype=np.int64)[:, None, None]
 
     def detect(ti, lanes, live):
         raw, compared = lane_session(array, goldens[ti], lanes)
         failed = (compared != expected).any(axis=2)
         hits = failed.any(axis=0)
-        found = live[hits].tolist()
-        for fi in found:
-            detected_tile[fi] = ti
-        if verify_classification and found:
+        detected_tile[live[hits]] = ti
+        if verify_classification and hits.any():
             kinds, windows = classify(raw[:, hits], compared[:, hits], goldens[ti])
-            checked, correct = _classification_outcome(
+            classification_ok[live[hits]] = _classification_outcome(
                 lanes.sites[hits], failed[:, hits], kinds, windows
             )
-            for fi, check, ok in zip(found, checked.tolist(), correct.tolist()):
-                classification_ok[fi] = ok if check else None
         return hits
 
     # Budgeted on the session's four test vectors.
-    undetected = _sweep(array, tiles, universe, range(len(faults)), 4, detect)
+    undetected = _sweep(array, tiles, universe, range(universe.count), 4, detect)
 
     if harness is not None:
         stacks, clean = harness
@@ -211,11 +212,9 @@ def _evaluate_faults(
             got = array.stream_lanes(lanes, stacks[ti])
             return (got != clean[ti][:, None]).any(axis=(0, 2))
 
-        for fi in undetected:
-            harmless[fi] = False
-        for fi in _sweep(array, tiles, universe, undetected, len(stacks[0]), differs):
-            harmless[fi] = True
-    return list(zip(detected_tile, classification_ok, harmless))
+        harmless[undetected] = 0
+        harmless[_sweep(array, tiles, universe, undetected, len(stacks[0]), differs)] = 1
+    return table
 
 
 @dataclass
@@ -238,15 +237,7 @@ class CoverageReport:
 
     def to_dict(self) -> dict:
         return {
-            "config": {
-                "rows": self.config.rows,
-                "cols": self.config.cols,
-                "m": self.config.m,
-                "n": self.config.n,
-                "data_width": self.config.data_width,
-                "acc_width": self.config.acc_width,
-                "mode": self.config.mode,
-            },
+            "config": asdict(self.config),
             "tiles": self.tiles,
             "total_faults": self.total_faults,
             "detected": self.detected,
@@ -293,7 +284,7 @@ def run_campaign(
     """
     if not tiles:
         raise ValueError("campaign needs at least one weight tile")
-    fault_list = list(enumerate_faults(config) if faults is None else faults)
+    universe = FaultLanes(config, list(enumerate_faults(config) if faults is None else faults))
     goldens = [compute_golden(tile, config) for tile in tiles]
     harness = (
         _harmless_harness(tiles, config, harmless_inputs, harmless_rows, seed)
@@ -301,50 +292,35 @@ def run_campaign(
         else None
     )
 
-    outcomes = _evaluate_faults(
-        config, tiles, goldens, fault_list, verify_classification, harness
-    )
+    detected_tile, classification_ok, harmless = _evaluate_faults(
+        config, tiles, goldens, universe, verify_classification, harness
+    ).T
 
-    per_class: dict[str, dict[str, int]] = {
-        cls.value: {
-            "total": 0,
-            "detected": 0,
-            "undetected": 0,
-            "harmless_verified": 0,
-            "not_harmless": 0,
-        }
-        for cls in RegClass
+    detected = detected_tile >= 0
+    counts = {
+        name: np.bincount(universe.sites[rows, 0], minlength=len(RegClass)).tolist()
+        for name, rows in (
+            ("total", slice(None)),
+            ("detected", detected),
+            ("undetected", ~detected),
+            ("harmless_verified", harmless == 1),
+            ("not_harmless", harmless == 0),
+        )
     }
-    by_tile = np.zeros(len(tiles), dtype=np.int64)
-    checked = correct = 0
-    for fault, (detected_tile, cls_ok, harmless) in zip(fault_list, outcomes):
-        bucket = per_class[fault.reg_class.value]
-        bucket["total"] += 1
-        if detected_tile is not None:
-            bucket["detected"] += 1
-            by_tile[detected_tile] += 1
-            if cls_ok is not None:
-                checked += 1
-                correct += int(cls_ok)
-        else:
-            bucket["undetected"] += 1
-            if harmless is True:
-                bucket["harmless_verified"] += 1
-            elif harmless is False:
-                bucket["not_harmless"] += 1
-
-    detected_total = int(by_tile.sum())
-    curve = (
-        (np.cumsum(by_tile) / len(fault_list)).tolist() if fault_list else []
-    )
+    per_class = {
+        cls.value: {name: column[code] for name, column in counts.items()}
+        for code, cls in enumerate(RegClass)
+    }
+    by_tile = np.bincount(detected_tile[detected], minlength=len(tiles))
+    curve = np.cumsum(by_tile) / universe.count if universe.count else []
     return CoverageReport(
         config=config,
         tiles=len(tiles),
-        total_faults=len(fault_list),
-        detected=detected_total,
+        total_faults=universe.count,
+        detected=int(detected.sum()),
         per_class=per_class,
-        cumulative_curve=[float(v) for v in curve],
-        classification_checked=checked,
-        classification_correct=correct,
+        cumulative_curve=list(map(float, curve)),
+        classification_checked=int((classification_ok >= 0).sum()),
+        classification_correct=int((classification_ok == 1).sum()),
         harmless_checked=check_harmless,
     )

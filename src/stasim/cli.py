@@ -112,6 +112,8 @@ def resolve_config(args) -> tuple[ArrayConfig, int]:
         if value is not None:
             merged[key] = value
     seed = int(merged.pop("seed", 0))
+    if seed < 0:
+        raise ValueError(f"seed {seed} must be at least 0")
     return ArrayConfig(**merged), seed
 
 
@@ -221,8 +223,6 @@ def cmd_selftest(args) -> int:
 
 def cmd_campaign(args) -> int:
     config, seed = resolve_config(args)
-    if args.magnitude is not None and args.magnitude < 0:
-        raise ValueError(f"--magnitude must be at least 0, got {args.magnitude}")
     if args.weights:
         tiles = [_tile_from_csv(path, config) for path in args.weights]
     else:

@@ -2,13 +2,19 @@
 
 import json
 from concurrent.futures import ProcessPoolExecutor
+from unittest.mock import patch
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import stasim.campaign as campaign
 from stasim.array import ArrayConfig, FaultSite, RegClass
 from stasim.campaign import enumerate_faults, random_tiles, run_campaign
 from stasim.sparsity import densify, pack_tile
+from test_lanes import mixed_faults, tile_of_magnitude
+from test_stream import configs
 
 TINY = ArrayConfig(rows=1, cols=2, m=4, n=2, data_width=8, acc_width=16)
 
@@ -180,6 +186,12 @@ def test_random_tiles_respect_magnitude():
     assert max(abs(densify(t)).max() for t in full) > 11
 
 
+@pytest.mark.parametrize("magnitude", [-1, 128, 1 << 40])
+def test_random_tiles_reject_magnitude_outside_data_width(magnitude):
+    with pytest.raises(ValueError, match=f"magnitude {magnitude} outside 0..127 for 8-bit"):
+        random_tiles(np.random.default_rng(0), TINY, 1, magnitude=magnitude)
+
+
 def test_random_tiles_gate_inactive_slots():
     cfg = ArrayConfig(rows=2, cols=3, mode="1:4")
     for tile in random_tiles(np.random.default_rng(443), cfg, 3, magnitude=50):
@@ -197,3 +209,134 @@ def test_unknown_fault_site_rejected_by_validate():
     bad = FaultSite(RegClass.WEIGHT, TINY.rows, 0, 0, 0, 1)
     with pytest.raises(ValueError):
         bad.validate(TINY)
+
+
+def reference_tally(config, tiles, faults, table, harmless_checked):
+    """The report ``run_campaign`` builds from an outcome table, tallied fault by fault."""
+    per_class = {
+        cls.value: {
+            "total": 0,
+            "detected": 0,
+            "undetected": 0,
+            "harmless_verified": 0,
+            "not_harmless": 0,
+        }
+        for cls in RegClass
+    }
+    by_tile = [0] * tiles
+    checked = correct = 0
+    for fault, row in zip(faults, table.tolist()):
+        detected_tile, cls_ok, harmless = (None if value < 0 else value for value in row)
+        bucket = per_class[fault.reg_class.value]
+        bucket["total"] += 1
+        if detected_tile is not None:
+            bucket["detected"] += 1
+            by_tile[detected_tile] += 1
+            if cls_ok is not None:
+                checked += 1
+                correct += cls_ok
+        else:
+            bucket["undetected"] += 1
+            if harmless == 1:
+                bucket["harmless_verified"] += 1
+            elif harmless == 0:
+                bucket["not_harmless"] += 1
+    detected = sum(by_tile)
+    curve, running = [], 0
+    for count in by_tile if faults else []:
+        running += count
+        curve.append(running / len(faults))
+    return {
+        "config": {
+            "rows": config.rows,
+            "cols": config.cols,
+            "m": config.m,
+            "n": config.n,
+            "data_width": config.data_width,
+            "acc_width": config.acc_width,
+            "mode": config.mode,
+        },
+        "tiles": tiles,
+        "total_faults": len(faults),
+        "detected": detected,
+        "coverage": detected / len(faults) if faults else 0.0,
+        "per_class": per_class,
+        "cumulative_curve": curve,
+        "classification": {"checked": checked, "correct": correct},
+        "harmless_checked": harmless_checked,
+    }
+
+
+def assert_tally_matches_per_fault_loop(tiles, config, faults, **kwargs):
+    """Run a campaign and re-tally its own outcome table fault by fault."""
+    tables, evaluate = [], campaign._evaluate_faults
+
+    def recording(*args):
+        tables.append(evaluate(*args))
+        return tables[-1]
+
+    with patch.object(campaign, "_evaluate_faults", recording):
+        report = run_campaign(tiles, config, faults=faults, **kwargs)
+    (table,) = tables
+    faults = enumerate_faults(config) if faults is None else faults
+    assert table.shape == (len(faults), 3)
+    want = reference_tally(
+        config, len(tiles), faults, table, kwargs.get("check_harmless", False)
+    )
+    assert report.to_dict() == want
+    return table
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    cfg=configs(),
+    fault_set=st.sampled_from(["mixed", "duplicates", "empty"]),
+    magnitudes=st.lists(st.sampled_from([0, 1, 3, 1 << 30]), min_size=1, max_size=3),
+    verify_classification=st.booleans(),
+    check_harmless=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_tally_matches_per_fault_loop(
+    cfg, fault_set, magnitudes, verify_classification, check_harmless, seed
+):
+    rng = np.random.default_rng(seed)
+    faults = mixed_faults(rng, cfg, 10)
+    if fault_set == "duplicates":
+        faults += [faults[i] for i in rng.integers(0, len(faults), size=6)]
+        rng.shuffle(faults)
+    elif fault_set == "empty":
+        faults = []
+    tiles = [tile_of_magnitude(rng, cfg, mag) for mag in magnitudes]
+    assert_tally_matches_per_fault_loop(
+        tiles,
+        cfg,
+        faults,
+        verify_classification=verify_classification,
+        check_harmless=check_harmless,
+        harmless_inputs=2,
+        harmless_rows=2,
+        seed=seed,
+    )
+
+
+@pytest.mark.parametrize("verify_classification", [True, False])
+@pytest.mark.parametrize("check_harmless", [True, False])
+def test_tally_of_whole_universe_matches_per_fault_loop(verify_classification, check_harmless):
+    rng = np.random.default_rng(457)
+    tiles = [random_tiles(rng, TINY, 1, magnitude=mag)[0] for mag in (None, 3)]
+    table = assert_tally_matches_per_fault_loop(
+        tiles,
+        TINY,
+        None,
+        verify_classification=verify_classification,
+        check_harmless=check_harmless,
+        seed=3,
+    )
+    detected_tile, classification_ok, harmless = table.T
+    # The universe leaves escapes of both kinds, and checked verdicts.
+    assert (detected_tile == -1).any() and (detected_tile == 1).any()
+    assert (classification_ok >= 0).any() == verify_classification
+    if check_harmless:
+        assert (harmless == 0).any() and (harmless == 1).any()
+    else:
+        assert (harmless == -1).all()

@@ -155,7 +155,7 @@ def test_array_classifier_matches_scalar_copy(seed):
         cfg = ArrayConfig(rows=1, cols=cols, m=m, n=1, data_width=2, acc_width=width)
         sites = FaultLanes(cfg, faults).sites
         failed = (compared != np.reshape(EXPECTED_COMPARED, (4, 1, 1))).any(axis=2)
-        checked, correct = _classification_outcome(sites, failed, kinds, windows)
+        verdict_ok = _classification_outcome(sites, failed, kinds, windows)
         for lane, fault in enumerate(faults):
             want = scalar_classify(raw[:, lane], compared[:, lane], golden)
             got = session_verdicts(kinds[lane], windows[lane])
@@ -168,7 +168,7 @@ def test_array_classifier_matches_scalar_copy(seed):
             if test4 and locate_activation(test4, m) is None:
                 seen.add("aperiodic")
             outcome = scalar_outcome(fault, compared[:, lane], want)
-            assert (bool(correct[lane]) if checked[lane] else None) == outcome
+            assert {1: True, 0: False, -1: None}[verdict_ok[lane]] == outcome
             outcomes.add((fault.reg_class, outcome))
     # Every verdict, window-less test-4 failures and every outcome occurred.
     windowed = VerdictKind.ACTIVATION_WINDOW

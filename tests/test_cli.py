@@ -297,7 +297,31 @@ def test_out_of_range_weight_exits_2_with_its_location(command, tmp_path, capsys
 def test_campaign_negative_magnitude_exits_2(tmp_path, capsys):
     args = ["campaign", "--rows", "2", "--cols", "2", "--magnitude", "-5"]
     assert main(args + ["-o", str(tmp_path / "c.json")]) == 2
-    assert "--magnitude must be at least 0, got -5" in capsys.readouterr().err
+    assert "magnitude -5 outside 0..32767 for 16-bit weights" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_campaign_magnitude_beyond_data_width_exits_2(seed, tmp_path, capsys):
+    """Rejected up front, whatever weights the seed would have drawn."""
+    args = ["campaign", "--rows", "1", "--cols", "1", "--tiles", "1", "--seed", str(seed)]
+    out = tmp_path / "c.json"
+    assert main(args + ["--magnitude", "40000", "-o", str(out)]) == 2
+    assert "magnitude 40000 outside 0..32767 for 16-bit weights" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(args + ["--magnitude", "32767", "-o", str(out)]) == 0
+
+
+@pytest.mark.parametrize("source", ["flag", "config file"])
+def test_negative_seed_exits_2_naming_the_seed(source, tmp_path, capsys):
+    if source == "flag":
+        args = ["--seed", "-1"]
+    else:
+        cfg = tmp_path / "neg.cfg"
+        cfg.write_text("seed = -1\n")
+        args = ["--config", str(cfg)]
+    argv = ["campaign", "--rows", "1", "--cols", "1", "--tiles", "1", *args]
+    assert main(argv + ["-o", str(tmp_path / "c.json")]) == 2
+    assert "seed -1 must be at least 0" in capsys.readouterr().err
 
 
 def test_prune_one_active_slot_mode(tmp_path):

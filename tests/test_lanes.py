@@ -23,7 +23,11 @@ from test_stream import configs
 
 
 def reference_evaluate(config, tiles, goldens, faults, verify_classification, harness):
-    """One fault after another on a fresh fault state: the loop lanes replace."""
+    """One fault after another on a fresh fault state: the loop lanes replace.
+
+    Returns the outcome table ``campaign._evaluate_faults`` fills, one row
+    per fault, with -1 for an unknown outcome.
+    """
     array = TensorArray(config)
     outcomes = []
     for fault in faults:
@@ -48,8 +52,9 @@ def reference_evaluate(config, tiles, goldens, faults, verify_classification, ha
                 if not np.array_equal(got, want):
                     harmless = False
                     break
-        outcomes.append((detected_tile, classification_ok, harmless))
-    return outcomes
+        row = (detected_tile, classification_ok, harmless)
+        outcomes.append([-1 if value is None else int(value) for value in row])
+    return np.array(outcomes, dtype=np.int64).reshape(-1, 3)
 
 
 def tile_of_magnitude(rng, cfg, magnitude):
@@ -176,9 +181,13 @@ def test_lane_campaign_matches_per_fault_loop(
         campaign, "_evaluate_faults", recording("lanes", campaign._evaluate_faults)
     ):
         lanes = run_campaign(tiles, cfg, **kwargs)
+
+    def reference_table(config, tiles, goldens, universe, verify, harness):
+        return reference_evaluate(config, tiles, goldens, faults, verify, harness)
+
     with patch.object(
-        campaign, "_evaluate_faults", recording("reference", reference_evaluate)
+        campaign, "_evaluate_faults", recording("reference", reference_table)
     ):
         reference = run_campaign(tiles, cfg, **kwargs)
-    assert outcomes["lanes"] == outcomes["reference"]
+    assert np.array_equal(outcomes["lanes"], outcomes["reference"])
     assert lanes.to_dict() == reference.to_dict()
