@@ -22,7 +22,6 @@ from stasim.array import (
     RegClass,
     RegSpec,
     TensorArray,
-    TpeState,
 )
 from stasim.campaign import (
     CoverageReport,
@@ -79,7 +78,6 @@ __all__ = [
     "SparseWeightTile",
     "TensorArray",
     "TestReport",
-    "TpeState",
     "Verdict",
     "VerdictKind",
     "Word",

@@ -36,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from stasim.arith import Word, check_signed_range, wrap_signed
+from stasim.arith import check_signed_range, wrap_signed
 from stasim.sparsity import SparseWeightTile, pack_tile
 
 
@@ -144,6 +144,8 @@ class ArrayConfig:
         block (``pack_tile``'s rule); slots the mode gates hold (0, 0).
         """
         tile = pack_tile(dense, self.m, self.active_slots, self.data_width)
+        if self.active_slots == self.n:
+            return tile
         gated = ((0, 0), (0, 0), (0, self.n - self.active_slots))
         return SparseWeightTile(
             np.pad(tile.values, gated),
@@ -282,20 +284,6 @@ class FaultLanes:
                 and_mask, or_mask = masks[cls] = _identity_masks(shape)
                 and_mask[(lanes, *cell)], or_mask[(lanes, *cell)] = and_bits, or_bits
         return masks
-
-
-@dataclass(frozen=True)
-class TpeState:
-    """Read-back view of one TPE's registers (fault forcing applied).
-
-    Position-index registers are unsigned patterns; read their ``bits``
-    field for the selected element, not the signed view.
-    """
-
-    activation: tuple[Word, ...]
-    weights: tuple[Word, ...]
-    indexes: tuple[Word, ...]
-    output: Word
 
 
 class TensorArray:
@@ -610,19 +598,11 @@ class TensorArray:
         edge = _masked(masks, RegClass.EDGE_ACCUMULATOR, raw, np.s_[..., 0, :, 0])
         return wrap_signed(edge + wrap_signed(np.asarray(golden, dtype=np.int64), acc), acc)
 
-    def output_registers(self) -> np.ndarray:
-        """Forced read of all output registers (rows x cols)."""
-        return self._read(RegClass.OUTPUT)[..., 0].copy()
+    def registers(self) -> dict[RegClass, np.ndarray]:
+        """Read-back of every stored register file, as the datapath sees it.
 
-    def tpe_state(self, row: int, col: int) -> TpeState:
-        """Forced read-back of one TPE's registers."""
-        cfg = self.config
-        if not (0 <= row < cfg.rows and 0 <= col < cfg.cols):
-            raise ValueError(f"no TPE at ({row}, {col})")
-        # One tuple of words per TPE-resident class, in table order.
-        act, wgt, idx, out = (
-            tuple(Word.from_signed(int(v), spec.width) for v in self._read(cls)[row, col])
-            for cls, spec in cfg.reg_specs.items()
-            if cls is not RegClass.EDGE_ACCUMULATOR
-        )
-        return TpeState(activation=act, weights=wgt, indexes=idx, output=out[0])
+        One (rows, cols, elements) copy per class, read through the injected
+        faults: position indexes as unsigned patterns, the other classes as
+        signed words.  Edge accumulators store nothing, so they are absent.
+        """
+        return {cls: self._read(cls).copy() for cls in self._regs}

@@ -46,6 +46,10 @@ from stasim.sparsity import SparseWeightTile
 #: the campaign's memory whatever the array size or fault count.
 LANE_BUDGET = 1 << 15
 
+#: Random activation rows per tile that an undetected fault must leave
+#: bit-identical to count as harmless.
+HARMLESS_ROWS = 40
+
 
 def enumerate_faults(config: ArrayConfig) -> list[FaultSite]:
     """Every stuck-at fault of the configuration, exactly once.
@@ -68,6 +72,8 @@ def random_tiles(
     magnitude: int | None = None,
 ) -> list[SparseWeightTile]:
     """Random dense weight tiles, pruned and packed; ``magnitude`` bounds |weight|."""
+    if count < 1:
+        raise ValueError(f"tile count {count} must be at least 1")
     limit = (1 << (config.data_width - 1)) - 1
     if magnitude is not None and not 0 <= magnitude <= limit:
         raise ValueError(
@@ -120,26 +126,16 @@ def _classification_outcome(sites: np.ndarray, failed, kinds, windows):
 
 
 def _harmless_harness(
-    tiles: Sequence[SparseWeightTile],
-    config: ArrayConfig,
-    inputs: int,
-    rows_per_input: int,
-    seed: int,
+    tiles: Sequence[SparseWeightTile], config: ArrayConfig, seed: int
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Per tile: stacked random activation blocks and their fault-free outputs.
+    """Per tile: ``HARMLESS_ROWS`` random activation blocks and their fault-free outputs.
 
-    The random matrices are stacked into one stream because streamed rows
-    never interact; one pass over the stack equals one pass per matrix.
+    The rows run as one stream, since streamed rows never interact.
     """
     rng = np.random.default_rng(seed)
     lo, hi = -(1 << (config.data_width - 1)), 1 << (config.data_width - 1)
-    x_rows = inputs * rows_per_input
-    stacks = [
-        rng.integers(lo, hi, size=(x_rows, config.block_rows), dtype=np.int64).reshape(
-            x_rows, config.rows, config.m
-        )
-        for _ in tiles
-    ]
+    shape = (HARMLESS_ROWS, config.rows, config.m)
+    stacks = [rng.integers(lo, hi, size=shape, dtype=np.int64) for _ in tiles]
     array = TensorArray(config)
     clean = []
     for tile, stack in zip(tiles, stacks):
@@ -272,8 +268,6 @@ def run_campaign(
     faults: Optional[Sequence[FaultSite]] = None,
     verify_classification: bool = True,
     check_harmless: bool = False,
-    harmless_inputs: int = 10,
-    harmless_rows: int = 4,
     seed: int = 0,
     jobs: int = 1,
 ) -> CoverageReport:
@@ -286,11 +280,7 @@ def run_campaign(
         raise ValueError("campaign needs at least one weight tile")
     universe = FaultLanes(config, list(enumerate_faults(config) if faults is None else faults))
     goldens = [compute_golden(tile, config) for tile in tiles]
-    harness = (
-        _harmless_harness(tiles, config, harmless_inputs, harmless_rows, seed)
-        if check_harmless
-        else None
-    )
+    harness = _harmless_harness(tiles, config, seed) if check_harmless else None
 
     detected_tile, classification_ok, harmless = _evaluate_faults(
         config, tiles, goldens, universe, verify_classification, harness

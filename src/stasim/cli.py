@@ -223,11 +223,17 @@ def cmd_selftest(args) -> int:
 
 def cmd_campaign(args) -> int:
     config, seed = resolve_config(args)
+    if args.jobs < 1:
+        raise ValueError(f"--jobs {args.jobs} must be at least 1")
     if args.weights:
+        for flag, value in (("--tiles", args.tiles), ("--magnitude", args.magnitude)):
+            if value is not None:
+                raise ValueError(f"--weights excludes {flag}: weight CSVs are the workload")
         tiles = [_tile_from_csv(path, config) for path in args.weights]
     else:
         rng = np.random.default_rng(seed)
-        tiles = random_tiles(rng, config, args.tiles, magnitude=args.magnitude)
+        count = 10 if args.tiles is None else args.tiles
+        tiles = random_tiles(rng, config, count, magnitude=args.magnitude)
     report = run_campaign(
         tiles,
         config,
@@ -295,9 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "campaign", parents=[parent], help="sweep the stuck-at fault universe"
     )
-    p.add_argument(
-        "--tiles", type=int, default=10, help="number of random workload tiles"
-    )
+    p.add_argument("--tiles", type=int, help="number of random workload tiles (default 10)")
     p.add_argument(
         "--weights",
         nargs="+",

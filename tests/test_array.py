@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from stasim.arith import Word, force_bit, wrap_signed
-from stasim.array import ArrayConfig, FaultLanes, FaultSite, RegClass, TensorArray, TpeState
+from stasim.array import ArrayConfig, FaultLanes, FaultSite, RegClass, TensorArray
 from stasim.campaign import enumerate_faults
 from stasim.sparsity import SparseWeightTile, densify, pack_tile
 
@@ -217,9 +217,9 @@ def test_load_cycle_count_and_state_reset():
     assert array.cycles == cfg.rows
     array.run_compute(rng.integers(-5, 6, size=(3, cfg.block_rows), dtype=np.int64))
     array.load_weights(tile)
-    assert not array.output_registers().any()
-    state = array.tpe_state(4, 4)
-    assert all(word.signed == 0 for word in state.activation)
+    regs = array.registers()
+    assert not regs[RegClass.OUTPUT].any()
+    assert not regs[RegClass.ACTIVATION].any()
 
 
 def test_load_shape_mismatch_rejected():
@@ -241,13 +241,19 @@ def test_weight_readback_matches_tile():
     tile = pack_tile(dense, 4, 2)
     array = TensorArray(cfg)
     array.load_weights(tile)
+    regs = array.registers()
+    assert {cls: r.shape for cls, r in regs.items()} == {
+        cls: spec.shape
+        for cls, spec in cfg.reg_specs.items()
+        if cls is not RegClass.EDGE_ACCUMULATOR
+    }
     for i in range(3):
         for j in range(4):
-            state = array.tpe_state(i, j)
-            assert tuple(wd.signed for wd in state.weights) == tile.blocks[i][j].values
-            assert tuple(wd.bits for wd in state.indexes) == tile.blocks[i][j].indexes
-    with pytest.raises(ValueError):
-        array.tpe_state(3, 0)
+            assert tuple(regs[RegClass.WEIGHT][i, j]) == tile.blocks[i][j].values
+            assert tuple(regs[RegClass.WEIGHT_INDEX][i, j]) == tile.blocks[i][j].indexes
+    # The read-back is a copy: writing to it leaves the registers alone.
+    regs[RegClass.WEIGHT][:] = 0
+    assert np.array_equal(array.registers()[RegClass.WEIGHT], tile.values)
 
 
 # -- fault semantics -------------------------------------------------------------
@@ -284,12 +290,10 @@ def test_weight_fault_visible_in_readback():
     array = TensorArray(cfg)
     array.load_weights(single_tpe_tile([3, -2], [2, 0]))
     array.inject(FaultSite(RegClass.WEIGHT, 0, 0, 0, 2, 1))
-    state = array.tpe_state(0, 0)
-    assert state.weights[0].signed == 3 | 4
-    assert state.weights[1].signed == -2
+    assert array.registers()[RegClass.WEIGHT][0, 0].tolist() == [3 | 4, -2]
     # stored value is untouched: clearing the fault restores the read
     array.clear_faults()
-    assert array.tpe_state(0, 0).weights[0].signed == 3
+    assert array.registers()[RegClass.WEIGHT][0, 0].tolist() == [3, -2]
 
 
 def test_run_compute_rejects_out_of_range_activations():
@@ -336,9 +340,9 @@ def test_index_fault_changes_selection_not_weights():
     array.load_weights(single_tpe_tile([3, -2], [2, 0]))
     # slot 0 index 2 (0b10) with bit 0 stuck-1 selects element 3 instead
     array.inject(FaultSite(RegClass.WEIGHT_INDEX, 0, 0, 0, 0, 1))
-    state = array.tpe_state(0, 0)
-    assert tuple(wd.signed for wd in state.weights) == (3, -2)
-    assert state.indexes[0].bits == 3
+    regs = array.registers()
+    assert regs[RegClass.WEIGHT][0, 0].tolist() == [3, -2]
+    assert regs[RegClass.WEIGHT_INDEX][0, 0].tolist() == [3, 0]
     out, _ = array.run_compute([[10, 20, 30, 40]])
     assert out.tolist() == [[3 * 40 + (-2) * 10]]
 
@@ -404,7 +408,7 @@ def test_multiple_faults_compose():
     array.load_weights(single_tpe_tile([0, 0], [0, 0]))
     array.inject(FaultSite(RegClass.WEIGHT, 0, 0, 0, 0, 1))
     array.inject(FaultSite(RegClass.WEIGHT, 0, 0, 0, 1, 1))
-    assert array.tpe_state(0, 0).weights[0].signed == 3
+    assert array.registers()[RegClass.WEIGHT][0, 0, 0] == 3
 
 
 def test_conflicting_polarities_rejected():
@@ -452,12 +456,7 @@ def test_masked_reads_match_scalar_forcing(cfg):
             west = rng.integers(d_lo, d_hi, size=(cfg.rows, cfg.m))
             north = rng.integers(-a_hi, a_hi, size=cfg.cols)
             array.step(west, north)
-        clean = {
-            (r, c): array.tpe_state(r, c)
-            for r in range(cfg.rows)
-            for c in range(cfg.cols)
-        }
-        clean_out = array.output_registers()
+        clean = array.registers()
 
         picks = [universe[i] for i in rng.choice(len(universe), 5, replace=False)]
         picks += [sign_bits[i] for i in rng.choice(len(sign_bits), 2, replace=False)]
@@ -475,26 +474,13 @@ def test_masked_reads_match_scalar_forcing(cfg):
                 if (f.reg_class, f.row, f.col, f.element) == (cls, r, c, e)
             ]
 
-        for (r, c), state in clean.items():
-            want = TpeState(
-                activation=tuple(
-                    _forced_word(w.signed, w.width, at(RegClass.ACTIVATION, r, c, e))
-                    for e, w in enumerate(state.activation)
-                ),
-                weights=tuple(
-                    _forced_word(w.signed, w.width, at(RegClass.WEIGHT, r, c, e))
-                    for e, w in enumerate(state.weights)
-                ),
-                indexes=tuple(
-                    _forced_word(w.bits, w.width, at(RegClass.WEIGHT_INDEX, r, c, e))
-                    for e, w in enumerate(state.indexes)
-                ),
-                output=_forced_word(
-                    state.output.signed, cfg.acc_width, at(RegClass.OUTPUT, r, c)
-                ),
-            )
-            assert array.tpe_state(r, c) == want
-            assert array.output_registers()[r, c] == want.output.signed
+        got = array.registers()
+        assert got.keys() == clean.keys()
+        for cls, stored in clean.items():
+            spec = specs[cls]
+            for cell in np.ndindex(spec.shape):
+                word = _forced_word(stored[cell], spec.width, at(cls, *cell))
+                assert got[cls][cell] == (word.signed if spec.signed else word.bits)
 
         raw = rng.integers(-a_hi, a_hi, size=cfg.cols)
         gold = rng.integers(-a_hi, a_hi, size=cfg.cols)
@@ -509,5 +495,6 @@ def test_masked_reads_match_scalar_forcing(cfg):
         assert array.edge_compare(raw, gold).tolist() == want_edge
 
         array.clear_faults()
-        assert np.array_equal(array.output_registers(), clean_out)
+        for cls, regs in array.registers().items():
+            assert np.array_equal(regs, clean[cls])
     assert seen_sign == {0, 1}

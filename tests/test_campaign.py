@@ -115,9 +115,9 @@ def test_output_and_edge_faults_always_detected():
 def test_campaign_is_deterministic():
     rng = np.random.default_rng(409)
     tiles = random_tiles(rng, TINY, 2, magnitude=100)
-    kwargs = dict(check_harmless=True, harmless_inputs=3, harmless_rows=2, seed=7)
-    first = run_campaign(tiles, TINY, **kwargs)
-    second = run_campaign(tiles, TINY, **kwargs)
+    with patch.object(campaign, "HARMLESS_ROWS", 6):
+        first = run_campaign(tiles, TINY, check_harmless=True, seed=7)
+        second = run_campaign(tiles, TINY, check_harmless=True, seed=7)
     assert first.to_dict() == second.to_dict()
 
 
@@ -307,16 +307,15 @@ def test_tally_matches_per_fault_loop(
     elif fault_set == "empty":
         faults = []
     tiles = [tile_of_magnitude(rng, cfg, mag) for mag in magnitudes]
-    assert_tally_matches_per_fault_loop(
-        tiles,
-        cfg,
-        faults,
-        verify_classification=verify_classification,
-        check_harmless=check_harmless,
-        harmless_inputs=2,
-        harmless_rows=2,
-        seed=seed,
-    )
+    with patch.object(campaign, "HARMLESS_ROWS", 4):
+        assert_tally_matches_per_fault_loop(
+            tiles,
+            cfg,
+            faults,
+            verify_classification=verify_classification,
+            check_harmless=check_harmless,
+            seed=seed,
+        )
 
 
 @pytest.mark.parametrize("verify_classification", [True, False])

@@ -332,3 +332,36 @@ def test_prune_one_active_slot_mode(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["blocks"] == [[{"values": [9, 0], "indexes": [3, 0]}]]
     assert payload["masks"] == [["0001"]]
+
+
+@pytest.mark.parametrize("count", [-3, 0])
+def test_campaign_tile_count_below_one_exits_2_naming_it(count, tmp_path, capsys):
+    out = tmp_path / "c.json"
+    args = ["campaign", "--rows", "1", "--cols", "1", "--tiles", str(count), "-o", str(out)]
+    assert main(args) == 2
+    assert f"tile count {count} must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_campaign_jobs_below_one_exits_2_naming_the_flag(tmp_path, capsys):
+    out = tmp_path / "c.json"
+    args = ["campaign", "--rows", "1", "--cols", "1", "--tiles", "1", "-o", str(out)]
+    assert main(args + ["--jobs", "-5"]) == 2
+    assert "--jobs -5 must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(args + ["--jobs", "2"]) == 0
+
+
+@pytest.mark.parametrize(
+    "extra, flag",
+    [(["--tiles", "-4", "--magnitude", "3"], "--tiles"), (["--magnitude", "3"], "--magnitude")],
+    ids=["tiles", "magnitude"],
+)
+def test_campaign_weights_exclude_random_tile_flags(extra, flag, tmp_path, capsys):
+    w_csv = write_csv(tmp_path / "w.csv", np.ones((4, 2), dtype=np.int64))
+    out = tmp_path / "c.json"
+    args = ["campaign", "--rows", "1", "--cols", "2", "--weights", w_csv, "-o", str(out)]
+    assert main(args + extra) == 2
+    assert f"--weights excludes {flag}" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(args) == 0

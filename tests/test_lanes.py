@@ -147,11 +147,11 @@ def test_stream_lanes_match_one_fault_at_a_time(cfg, fault_count, blocks, seed):
     lanes_per_pass=st.integers(3, 6),
     full_chunks=st.integers(2, 3),
     magnitudes=st.lists(st.sampled_from([0, 1, 3, 1 << 30]), min_size=1, max_size=3),
-    harmless=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+    harmless_rows=st.integers(1, 9),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_lane_campaign_matches_per_fault_loop(
-    cfg, lanes_per_pass, full_chunks, magnitudes, harmless, seed
+    cfg, lanes_per_pass, full_chunks, magnitudes, harmless_rows, seed
 ):
     rng = np.random.default_rng(seed)
     # Longer than one chunk, and not a whole number of chunks.
@@ -164,8 +164,6 @@ def test_lane_campaign_matches_per_fault_loop(
         faults=faults,
         verify_classification=True,
         check_harmless=True,
-        harmless_inputs=harmless[0],
-        harmless_rows=harmless[1],
         seed=seed,
     )
     outcomes = {}
@@ -177,17 +175,17 @@ def test_lane_campaign_matches_per_fault_loop(
 
         return wrapped
 
-    with patch.object(campaign, "LANE_BUDGET", budget), patch.object(
-        campaign, "_evaluate_faults", recording("lanes", campaign._evaluate_faults)
-    ):
-        lanes = run_campaign(tiles, cfg, **kwargs)
-
     def reference_table(config, tiles, goldens, universe, verify, harness):
         return reference_evaluate(config, tiles, goldens, faults, verify, harness)
 
-    with patch.object(
-        campaign, "_evaluate_faults", recording("reference", reference_table)
-    ):
-        reference = run_campaign(tiles, cfg, **kwargs)
+    with patch.object(campaign, "HARMLESS_ROWS", harmless_rows):
+        with patch.object(campaign, "LANE_BUDGET", budget), patch.object(
+            campaign, "_evaluate_faults", recording("lanes", campaign._evaluate_faults)
+        ):
+            lanes = run_campaign(tiles, cfg, **kwargs)
+        with patch.object(
+            campaign, "_evaluate_faults", recording("reference", reference_table)
+        ):
+            reference = run_campaign(tiles, cfg, **kwargs)
     assert np.array_equal(outcomes["lanes"], outcomes["reference"])
     assert lanes.to_dict() == reference.to_dict()

@@ -76,12 +76,11 @@ def random_fault(rng, cfg, cls):
 
 
 def assert_same_state(wave, ref):
-    cfg = wave.config
     assert wave.cycles == ref.cycles
-    assert np.array_equal(wave.output_registers(), ref.output_registers())
-    for r in range(cfg.rows):
-        for c in range(cfg.cols):
-            assert wave.tpe_state(r, c) == ref.tpe_state(r, c)
+    got, want = wave.registers(), ref.registers()
+    assert got.keys() == want.keys()
+    for cls in want:
+        assert np.array_equal(got[cls], want[cls]), cls
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
