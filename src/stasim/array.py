@@ -50,6 +50,10 @@ class RegClass(str, Enum):
     EDGE_ACCUMULATOR = "edge_accumulator"
 
 
+#: Each class's code, its position in ``RegClass``: how fault tables name it.
+CLASS_CODE = {cls: code for code, cls in enumerate(RegClass)}
+
+
 @dataclass(frozen=True)
 class RegSpec:
     """Shape and width of one register class's register file.
@@ -252,7 +256,7 @@ class FaultLanes:
     """A batch of single-fault lanes for the wave engine.
 
     Lane l carries exactly ``faults[l]``, validated once and kept as row l of
-    ``sites``: class position in ``RegClass``, row, col, element and
+    ``sites``: ``CLASS_CODE``, row, col, element and
     ``FaultSite.mask_bits``; ``take`` cuts sub-batches.  ``masks`` maps each
     faulted class to (and_mask, or_mask) arrays shaped (count, *spec.shape),
     the identity in every other lane; unfaulted classes are absent.
@@ -262,7 +266,7 @@ class FaultLanes:
         sites = []
         for fault in faults:
             fault.validate(config)
-            cell = (list(RegClass).index(fault.reg_class), fault.row, fault.col, fault.element)
+            cell = (CLASS_CODE[fault.reg_class], fault.row, fault.col, fault.element)
             sites.append(cell + fault.mask_bits(config))
         self.config, self.count = config, len(faults)
         self.sites = np.array(sites, dtype=np.int64).reshape(-1, 6)
@@ -276,7 +280,7 @@ class FaultLanes:
     @cached_property
     def masks(self) -> dict[RegClass, tuple[np.ndarray, np.ndarray]]:
         masks = {}
-        for code, cls in enumerate(RegClass):
+        for cls, code in CLASS_CODE.items():
             (lanes,) = np.nonzero(self.sites[:, 0] == code)
             if len(lanes):
                 _, *cell, and_bits, or_bits = self.sites[lanes].T
@@ -306,38 +310,34 @@ class TensorArray:
         # activation element j mod m, in every slot of every row.
         pattern = (np.arange(c, dtype=np.int64) % m)[None, :, None]
         self._forced_sel = np.broadcast_to(pattern, (r, c, n)).copy()
-        self._faults: list[FaultSite] = []
-        # Per faulted class, (and_mask, or_mask) applied on every read.
+        # Per faulted class, (and_mask, or_mask) applied on every read: the
+        # injected faults are these masks and nothing else.
         self._masks: dict[RegClass, tuple[np.ndarray, np.ndarray]] = {}
         self.weights_loaded = False
         self.cycles = 0
 
     # -- fault management -------------------------------------------------
 
-    @property
-    def faults(self) -> tuple[FaultSite, ...]:
-        return tuple(self._faults)
-
     def inject(self, fault: FaultSite) -> None:
         """Add a stuck-at fault; a bit cannot be stuck at both polarities."""
         fault.validate(self.config)
-        opposite = replace(fault, stuck=1 - fault.stuck)
-        if opposite in self._faults:
+        if fault.reg_class not in self._masks:
+            shape = self.config.reg_specs[fault.reg_class].shape
+            self._masks[fault.reg_class] = _identity_masks(shape)
+        and_mask, or_mask = self._masks[fault.reg_class]
+        and_bits, or_bits = fault.mask_bits(self.config)
+        cell = (fault.row, fault.col, fault.element)
+        # A bit the masks already force the other way is the opposite fault.
+        if (~and_mask[cell] & or_bits) | (or_mask[cell] & ~and_bits):
+            opposite = replace(fault, stuck=1 - fault.stuck)
             raise ValueError(
                 f"fault {fault.spec()} conflicts with {opposite.spec()}: "
                 "one bit cannot be stuck at 0 and at 1"
             )
-        and_mask, or_mask = self._masks.setdefault(
-            fault.reg_class, _identity_masks(self.config.reg_specs[fault.reg_class].shape)
-        )
-        and_bits, or_bits = fault.mask_bits(self.config)
-        cell = (fault.row, fault.col, fault.element)
         and_mask[cell] &= and_bits
         or_mask[cell] |= or_bits
-        self._faults.append(fault)
 
     def clear_faults(self) -> None:
-        self._faults.clear()
         self._masks.clear()
 
     def _read(self, cls: RegClass) -> np.ndarray:

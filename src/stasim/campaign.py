@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from stasim.array import ArrayConfig, FaultLanes, FaultSite, RegClass, TensorArray
+from stasim.array import CLASS_CODE, ArrayConfig, FaultLanes, FaultSite, RegClass, TensorArray
 from stasim.selftest import (
     EXPECTED_COMPARED,
     VERDICT_KINDS,
@@ -111,8 +111,8 @@ def _classification_outcome(sites: np.ndarray, failed, kinds, windows):
     """
     t1f, t2f, t3f, t4f = failed
     classes, cols = sites[:, 0], sites[:, 2]
-    index = classes == list(RegClass).index(RegClass.WEIGHT_INDEX)
-    activation = classes == list(RegClass).index(RegClass.ACTIVATION)
+    index = classes == CLASS_CODE[RegClass.WEIGHT_INDEX]
+    activation = classes == CLASS_CODE[RegClass.ACTIVATION]
     first, lo, hi = windows.T
     correct = np.where(
         activation,
@@ -170,7 +170,6 @@ def _sweep(array, tiles, universe: FaultLanes, ids, waves, settle) -> list[int]:
 
 
 def _evaluate_faults(
-    config: ArrayConfig,
     tiles: Sequence[SparseWeightTile],
     goldens: Sequence[GoldenReference],
     universe: FaultLanes,
@@ -181,7 +180,7 @@ def _evaluate_faults(
 
     Columns: detection tile, then the classification-ok and harmless flags (0/1).
     """
-    array = TensorArray(config)
+    array = TensorArray(universe.config)
     table = np.full((universe.count, 3), -1, dtype=np.int64)
     detected_tile, classification_ok, harmless = table.T
     expected = np.array(EXPECTED_COMPARED, dtype=np.int64)[:, None, None]
@@ -273,9 +272,11 @@ def run_campaign(
 ) -> CoverageReport:
     """Measure self-test coverage of the fault universe over a workload.
 
-    Deterministic for a given argument set.  ``jobs`` is accepted for
-    compatibility and ignored: the campaign runs in one process.
+    Deterministic for a given argument set.  ``jobs`` must be at least 1 and
+    is otherwise ignored: the campaign runs in one process.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs {jobs} must be at least 1")
     if not tiles:
         raise ValueError("campaign needs at least one weight tile")
     universe = FaultLanes(config, list(enumerate_faults(config) if faults is None else faults))
@@ -283,7 +284,7 @@ def run_campaign(
     harness = _harmless_harness(tiles, config, seed) if check_harmless else None
 
     detected_tile, classification_ok, harmless = _evaluate_faults(
-        config, tiles, goldens, universe, verify_classification, harness
+        tiles, goldens, universe, verify_classification, harness
     ).T
 
     detected = detected_tile >= 0
@@ -299,7 +300,7 @@ def run_campaign(
     }
     per_class = {
         cls.value: {name: column[code] for name, column in counts.items()}
-        for code, cls in enumerate(RegClass)
+        for cls, code in CLASS_CODE.items()
     }
     by_tile = np.bincount(detected_tile[detected], minlength=len(tiles))
     curve = np.cumsum(by_tile) / universe.count if universe.count else []

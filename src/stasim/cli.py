@@ -24,15 +24,11 @@ from stasim.sparsity import densify, read_matrix_csv, write_matrix_csv
 
 _CONFIG_KEYS = ("rows", "cols", "m", "n", "data_width", "acc_width", "mode", "seed")
 
-_CLASS_ALIASES = {
-    "activation": RegClass.ACTIVATION,
+#: Every class by its value, plus three short names.
+_CLASS_ALIASES = {cls.value: cls for cls in RegClass} | {
     "act": RegClass.ACTIVATION,
-    "weight": RegClass.WEIGHT,
     "index": RegClass.WEIGHT_INDEX,
-    "weight_index": RegClass.WEIGHT_INDEX,
-    "output": RegClass.OUTPUT,
     "edge": RegClass.EDGE_ACCUMULATOR,
-    "edge_accumulator": RegClass.EDGE_ACCUMULATOR,
 }
 
 
@@ -117,6 +113,13 @@ def resolve_config(args) -> tuple[ArrayConfig, int]:
     return ArrayConfig(**merged), seed
 
 
+def _write_json(path, data) -> None:
+    """Write a JSON artifact: two-space indent, sorted keys, trailing newline."""
+    with open(path, "w") as fh:
+        json.dump(data, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def cmd_prune(args) -> int:
     config, _ = resolve_config(args)
     dense = read_matrix_csv(args.weights)
@@ -128,9 +131,7 @@ def cmd_prune(args) -> int:
     payload["masks"] = [
         ["".join(map(str, block)) for block in row] for row in blocks.astype(int).tolist()
     ]
-    with open(args.output, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(args.output, payload)
     kept = int(mask.sum())
     total = dense.size
     print(
@@ -173,13 +174,9 @@ def cmd_matmul(args) -> int:
         baseline = stats.total_cycles - stats.test_cycles
         payload["overhead_vs_no_testing"] = stats.test_cycles / baseline
     if args.stats:
-        with open(args.stats, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(args.stats, payload)
     if args.reports:
-        with open(args.reports, "w") as fh:
-            json.dump([r.to_dict() for r in reports], fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(args.reports, [r.to_dict() for r in reports])
     line = (
         f"{a.shape[0]}x{a.shape[1]} by {w.shape[0]}x{w.shape[1]} in "
         f"{stats.tiles_executed} tiles, {stats.total_cycles} cycles"
@@ -203,9 +200,7 @@ def cmd_selftest(args) -> int:
     golden = compute_golden(tile, config)
     report = run_session(array, golden, tile_id=args.weights)
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(report.to_json())
-            fh.write("\n")
+        _write_json(args.output, report.to_dict())
     flagged = [v for v in report.verdicts if v.kind.value != "ok"]
     if report.detected:
         print(
@@ -240,9 +235,7 @@ def cmd_campaign(args) -> int:
         check_harmless=args.harmless,
         seed=seed,
     )
-    with open(args.output, "w") as fh:
-        fh.write(report.to_json())
-        fh.write("\n")
+    _write_json(args.output, report.to_dict())
     if args.curve:
         report.write_curve_csv(args.curve)
     print(

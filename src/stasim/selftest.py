@@ -15,7 +15,7 @@ engine, and ``classify`` judges any number of sessions at once.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from functools import lru_cache
 from typing import Iterable, Optional
@@ -27,6 +27,8 @@ from stasim.array import ArrayConfig, FaultLanes, TensorArray
 from stasim.sparsity import SparseWeightTile
 
 #: Column sums a healthy array produces after golden addition, per test.
+#: The golden cancels every product, so these are also the north values the
+#: session feeds each column: a healthy column compares equal to its input.
 EXPECTED_COMPARED = (0, -1, 0, 0)
 
 
@@ -37,22 +39,16 @@ def session_vectors(m: int) -> list[np.ndarray]:
     return [ones, -ones, ramp, ramp]
 
 
-#: Per-test value fed to every column's partial-sum input alongside the vector.
-TOP_SUMS = (0, -1, 0, 0)
-
-
 @dataclass(frozen=True)
 class GoldenReference:
     """Golden values added to the raw column sums, one row per test.
 
-    ``per_test`` has shape (4, cols).  ``m`` and ``acc_width`` ride along so
-    the classifier can reason about selection periods and bit widths without
-    reaching back to a config object.
+    ``per_test`` has shape (4, cols) and is valid only on an array of
+    ``config``, the configuration it was computed for.
     """
 
     per_test: np.ndarray
-    m: int
-    acc_width: int
+    config: ArrayConfig
 
     @property
     def cols(self) -> int:
@@ -82,11 +78,7 @@ def compute_golden(tile: SparseWeightTile, config: ArrayConfig) -> GoldenReferen
             -forced * wsum,
         ]
     )
-    return GoldenReference(
-        per_test=wrap_signed(per_test, config.acc_width),
-        m=config.m,
-        acc_width=config.acc_width,
-    )
+    return GoldenReference(wrap_signed(per_test, config.acc_width), config)
 
 
 class VerdictKind(str, Enum):
@@ -170,7 +162,7 @@ def classify(raw, compared, golden: GoldenReference) -> tuple[np.ndarray, np.nda
     fails = compared != np.reshape(EXPECTED_COMPARED, (4,) + (1,) * (compared.ndim - 1))
     # Tests 1 and 2 are bitwise complements when every one of the
     # accumulator's bits differs between them.
-    ones = mask_of(golden.acc_width)
+    ones = mask_of(golden.config.acc_width)
     raw_comp = ((raw[0] ^ raw[1]) & ones) == ones
     compared_comp = ((compared[0] ^ compared[1]) & ones) == ones
     pair_kind = np.where(
@@ -181,10 +173,11 @@ def classify(raw, compared, golden: GoldenReference) -> tuple[np.ndarray, np.nda
     test4 = fails[3]
     first = test4.argmax(axis=-1)
     offset = np.arange(test4.shape[-1]) - first[..., None]
-    located = test4.any(axis=-1) & ~(test4 & (offset % golden.m != 0)).any(axis=-1)
+    m = golden.config.m
+    located = test4.any(axis=-1) & ~(test4 & (offset % m != 0)).any(axis=-1)
     test4_kind = np.where(test4, np.where(located, _WINDOW, _UNCLASSIFIED)[..., None], _OK)
     kinds = np.where(fails[0] | fails[1], pair_kind, np.where(fails[2], _INDEX, test4_kind))
-    window = np.stack([first, np.maximum(0, first - golden.m + 1), first], axis=-1)
+    window = np.stack([first, np.maximum(0, first - m + 1), first], axis=-1)
     return kinds, np.where(located[..., None], window, -1)
 
 
@@ -239,18 +232,19 @@ def _session_stream(rows: int, m: int) -> tuple[np.ndarray, ...]:
     Waves never interact, so test 4's selection override is a per-wave flag.
     """
     blocks = np.stack([np.tile(v, (rows, 1)) for v in session_vectors(m)])
-    stream = (blocks, np.array(TOP_SUMS, dtype=np.int64), np.arange(4) == 3)
+    stream = (blocks, np.array(EXPECTED_COMPARED, dtype=np.int64), np.arange(4) == 3)
     for part in stream:
         part.flags.writeable = False
     return stream
 
 
 def _check_session(array: TensorArray, golden: GoldenReference) -> None:
-    cfg = array.config
     if not array.weights_loaded:
         raise RuntimeError("load a weight tile before running a self-test session")
-    if golden.cols != cfg.cols or golden.m != cfg.m:
-        raise ValueError("golden reference does not match the array geometry")
+    if golden.config != array.config:
+        want, got = asdict(array.config), asdict(golden.config)
+        wrong = "; ".join(f"{k} {got[k]!r}, not {v!r}" for k, v in want.items() if got[k] != v)
+        raise ValueError(f"golden reference computed for another array: {wrong}")
 
 
 def run_session(

@@ -273,7 +273,7 @@ def test_inject_then_clear_restores_fault_free_behavior():
     array.inject(FaultSite(RegClass.WEIGHT, 1, 2, 0, 13, 1))
     array.inject(FaultSite(RegClass.OUTPUT, 3, 3, 0, 5, 1))
     array.clear_faults()
-    assert array.faults == ()
+    assert not any(regs.any() for regs in array.registers().values())
     array.load_weights(tile)
     got, _ = array.run_compute(a)
     assert np.array_equal(got, want)
@@ -416,9 +416,34 @@ def test_conflicting_polarities_rejected():
     array.inject(FaultSite(RegClass.WEIGHT, 1, 2, 0, 5, 0))
     array.inject(FaultSite(RegClass.WEIGHT, 1, 2, 0, 5, 0))
     array.inject(FaultSite(RegClass.WEIGHT, 1, 2, 1, 5, 1))
+    before = array.registers()
     with pytest.raises(ValueError, match="weight:1:2:0:5:1.*weight:1:2:0:5:0"):
         array.inject(FaultSite(RegClass.WEIGHT, 1, 2, 0, 5, 1))
-    assert len(array.faults) == 3
+    # The rejected stuck-at-1 would read back on the zero-stored weight.
+    after = array.registers()
+    assert all(np.array_equal(before[cls], after[cls]) for cls in before)
+    assert after[RegClass.WEIGHT][1, 2].tolist() == [0, 32]
+
+
+@pytest.mark.parametrize("cls", list(RegClass))
+def test_conflict_rule_over_every_bit_pair(cls):
+    # A second fault in the same cell is rejected exactly when it ties the
+    # same bit to the other polarity; sign bits, which force their whole
+    # sign extension, included.
+    cfg = ArrayConfig(rows=1, cols=1)
+    width = cfg.reg_specs[cls].width
+    pairs = [(bit, stuck) for bit in range(width) for stuck in (0, 1)]
+    for first in pairs:
+        for second in pairs:
+            array = TensorArray(cfg)
+            array.inject(FaultSite(cls, 0, 0, 0, *first))
+            conflict = first[0] == second[0] and first[1] != second[1]
+            try:
+                array.inject(FaultSite(cls, 0, 0, 0, *second))
+            except ValueError:
+                assert conflict, (first, second)
+            else:
+                assert not conflict, (first, second)
 
 
 def _forced_word(value, width, faults):

@@ -135,6 +135,16 @@ def test_parallel_jobs_match_serial(monkeypatch):
         assert serial.to_dict() == parallel.to_dict()
 
 
+def test_jobs_below_one_rejected():
+    tiles = [zero_tile(TINY)]
+    faults = enumerate_faults(TINY)[:8]
+    for jobs in (0, -5):
+        with pytest.raises(ValueError, match=f"^jobs {jobs} must be at least 1$"):
+            run_campaign(tiles, TINY, faults=faults, jobs=jobs)
+    for jobs in (1, 2, 4, 64):
+        assert run_campaign(tiles, TINY, faults=faults, jobs=jobs).total_faults == 8
+
+
 def test_cumulative_curve_shape_and_totals():
     rng = np.random.default_rng(421)
     tiles = random_tiles(rng, TINY, 3)

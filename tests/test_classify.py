@@ -31,7 +31,7 @@ def scalar_classify(raw, compared, golden):
     raw = np.asarray(raw, dtype=np.int64)
     compared = np.asarray(compared, dtype=np.int64)
     cols = golden.cols
-    ones = mask_of(golden.acc_width)
+    ones = mask_of(golden.config.acc_width)
     raw_comps = ((raw[0] ^ raw[1]) & ones) == ones
     compared_comps = ((compared[0] ^ compared[1]) & ones) == ones
 
@@ -61,7 +61,7 @@ def scalar_classify(raw, compared, golden):
             verdicts[j] = Verdict(j, VerdictKind.OK)
 
     if test4_only:
-        window = locate_activation(test4_all, golden.m)
+        window = locate_activation(test4_all, golden.config.m)
         for j in test4_only:
             if window is None:
                 verdicts[j] = Verdict(j, VerdictKind.UNCLASSIFIED)
@@ -143,7 +143,8 @@ def test_array_classifier_matches_scalar_copy(seed):
         cols = int(rng.integers(1, 10))
         m = int(rng.integers(1, 6))
         width = int(rng.integers(2, 7))
-        golden = GoldenReference(np.zeros((4, cols), dtype=np.int64), m=m, acc_width=width)
+        cfg = ArrayConfig(rows=1, cols=cols, m=m, n=1, data_width=2, acc_width=width)
+        golden = GoldenReference(np.zeros((4, cols), dtype=np.int64), cfg)
         raw, compared = random_sessions(rng, lanes, cols, m, width)
         kinds, windows = classify(raw, compared, golden)
         assert kinds.shape == (lanes, cols) and windows.shape == (lanes, 3)
@@ -152,7 +153,6 @@ def test_array_classifier_matches_scalar_copy(seed):
             FaultSite(list(RegClass)[c], 0, int(rng.integers(0, cols)), 0, 0, 0)
             for c in rng.integers(0, len(RegClass), size=lanes)
         ]
-        cfg = ArrayConfig(rows=1, cols=cols, m=m, n=1, data_width=2, acc_width=width)
         sites = FaultLanes(cfg, faults).sites
         failed = (compared != np.reshape(EXPECTED_COMPARED, (4, 1, 1))).any(axis=2)
         verdict_ok = _classification_outcome(sites, failed, kinds, windows)

@@ -175,8 +175,8 @@ def test_lane_campaign_matches_per_fault_loop(
 
         return wrapped
 
-    def reference_table(config, tiles, goldens, universe, verify, harness):
-        return reference_evaluate(config, tiles, goldens, faults, verify, harness)
+    def reference_table(tiles, goldens, universe, verify, harness):
+        return reference_evaluate(universe.config, tiles, goldens, faults, verify, harness)
 
     with patch.object(campaign, "HARMLESS_ROWS", harmless_rows):
         with patch.object(campaign, "LANE_BUDGET", budget), patch.object(

@@ -6,14 +6,14 @@ import numpy as np
 import pytest
 
 from stasim.arith import Word, bit_not, is_bitwise_complement, wrap_signed
-from stasim.array import ArrayConfig, FaultSite, RegClass, TensorArray
+from stasim.array import ArrayConfig, FaultLanes, FaultSite, RegClass, TensorArray
 from stasim.selftest import (
     EXPECTED_COMPARED,
-    TOP_SUMS,
     GoldenReference,
     VerdictKind,
     classify,
     compute_golden,
+    lane_session,
     locate_activation,
     run_session,
     session_vectors,
@@ -54,7 +54,7 @@ def test_golden_all_zero_tile():
     golden = compute_golden(tile, cfg)
     assert not golden.per_test.any()
     assert golden.cols == 3
-    assert golden.m == 4
+    assert golden.config == cfg
 
 
 def test_golden_column_sums():
@@ -209,8 +209,8 @@ def test_session_leaves_the_two_pass_state(cfg, fault):
     assert array.cycles - before == 4 + 2 * (cfg.rows + cfg.cols - 1)
 
     blocks = np.stack([np.tile(v, (cfg.rows, 1)) for v in session_vectors(cfg.m)])
-    tests_1_3, _ = stepped_stream(ref, blocks[:3], TOP_SUMS[:3], False)
-    test_4, _ = stepped_stream(ref, blocks[3:], TOP_SUMS[3:], True)
+    tests_1_3, _ = stepped_stream(ref, blocks[:3], EXPECTED_COMPARED[:3], False)
+    test_4, _ = stepped_stream(ref, blocks[3:], EXPECTED_COMPARED[3:], True)
     assert report.raw == tuple(map(tuple, np.vstack([tests_1_3, test_4]).tolist()))
     assert_same_state(array, ref)
 
@@ -222,9 +222,26 @@ def test_session_preconditions():
     with pytest.raises(RuntimeError):
         run_session(array, compute_golden(tile, cfg))
     array.load_weights(tile)
-    other = GoldenReference(np.zeros((4, 3), dtype=np.int64), m=4, acc_width=32)
+    other = GoldenReference(np.zeros((4, 3), dtype=np.int64), ArrayConfig(rows=2, cols=3))
     with pytest.raises(ValueError):
         run_session(array, other)
+
+
+@pytest.mark.parametrize("field, value", [("mode", "1:4"), ("rows", 4), ("acc_width", 17)])
+def test_golden_for_another_config_rejected(field, value):
+    # A golden only cancels the products of the array it was computed for;
+    # on any other it would flag a healthy array.
+    rng = np.random.default_rng(5)
+    cfg, golden_cfg = ArrayConfig(), ArrayConfig(**{field: value})
+    golden_tile = golden_cfg.pack(rng.integers(-9, 10, golden_cfg.tile_shape))
+    golden = compute_golden(golden_tile, golden_cfg)
+    array = TensorArray(cfg)
+    array.load_weights(cfg.pack(rng.integers(-9, 10, cfg.tile_shape)))
+    mismatch = f"computed for another array: {field} {value!r}, not {getattr(cfg, field)!r}$"
+    with pytest.raises(ValueError, match=mismatch):
+        run_session(array, golden)
+    with pytest.raises(ValueError, match=mismatch):
+        lane_session(array, golden, FaultLanes(cfg, ()))
 
 
 # -- fault signatures --------------------------------------------------------------
@@ -391,7 +408,7 @@ def test_locate_activation_windows():
 
 
 def test_classify_contradictory_pattern_is_unclassified():
-    golden = GoldenReference(np.zeros((4, 1), dtype=np.int64), m=4, acc_width=32)
+    golden = GoldenReference(np.zeros((4, 1), dtype=np.int64), ArrayConfig(rows=1, cols=1))
     raw = np.array([[0], [0], [0], [0]])
     compared = np.array([[5], [-6], [0], [0]])  # 5 and -6 are complementary
     verdicts = session_verdicts(*classify(raw, compared, golden))
@@ -399,7 +416,7 @@ def test_classify_contradictory_pattern_is_unclassified():
 
 
 def test_classify_aperiodic_test4_failures_unclassified():
-    golden = GoldenReference(np.zeros((4, 8), dtype=np.int64), m=4, acc_width=32)
+    golden = GoldenReference(np.zeros((4, 8), dtype=np.int64), ArrayConfig())
     raw = np.zeros((4, 8), dtype=np.int64)
     compared = np.zeros((4, 8), dtype=np.int64)
     compared[1, :] = -1
@@ -415,7 +432,7 @@ def test_classify_window_pools_every_test4_failure():
     # columns whose stored indexes select the element; those columns take
     # Table-style verdicts, but the window must come from all test-4
     # failures so it keeps covering the faulty column
-    golden = GoldenReference(np.zeros((4, 8), dtype=np.int64), m=4, acc_width=32)
+    golden = GoldenReference(np.zeros((4, 8), dtype=np.int64), ArrayConfig())
     raw = np.zeros((4, 8), dtype=np.int64)
     compared = np.zeros((4, 8), dtype=np.int64)
     compared[1, :] = -1
