@@ -22,9 +22,12 @@ no clock loop, and waves never interact: the test-4 selection override can be
 set per wave, which lets a whole self-test session run as one stream.
 ``step`` advances one cycle and is the reference it is tested against.
 
-The same wave engine carries an optional fault-lane axis: ``stream_lanes``
-evaluates a batch of single faults in one pass, lane l seeing only fault l
-(parallel-pattern single-fault propagation), which is what campaigns run on.
+The same wave engine carries an optional axis after the waves, in one of two
+uses.  ``stream_lanes`` evaluates a batch of single faults in one pass, lane l
+seeing only fault l (parallel-pattern single-fault propagation), which is what
+campaigns run on.  ``stream_tiles`` streams a stack of packed tiles in one
+pass, tile t standing in for the loaded weights, which is what the tiled
+driver runs on.  ``LANE_BUDGET`` bounds how many lanes or tiles share a pass.
 """
 
 from __future__ import annotations
@@ -38,6 +41,12 @@ import numpy as np
 
 from stasim.arith import check_signed_range, wrap_signed
 from stasim.sparsity import SparseWeightTile, pack_tile
+
+#: Elements (lanes or tiles x waves x rows x cols x m) one pass of the wave
+#: engine may hold in each of its temporaries.  It sets how many fault lanes
+#: or stacked tiles share a pass, and so bounds memory whatever the array
+#: size, fault count or layer size.
+LANE_BUDGET = 1 << 15
 
 
 class RegClass(str, Enum):
@@ -140,6 +149,13 @@ class ArrayConfig:
             RegClass.OUTPUT: RegSpec((r, c, 1), self.acc_width, True),
             RegClass.EDGE_ACCUMULATOR: RegSpec((1, c, 1), self.acc_width, True),
         }
+
+    def per_pass(self, waves: int) -> int:
+        """Fault lanes or stacked tiles a pass of ``waves`` waves may carry.
+
+        At least one, whatever ``LANE_BUDGET`` allows.
+        """
+        return max(1, LANE_BUDGET // (max(waves, 1) * self.rows * self.cols * self.m))
 
     def pack(self, dense) -> SparseWeightTile:
         """Prune and pack a dense weight matrix for this array.
@@ -363,18 +379,20 @@ class TensorArray:
 
     # -- datapath ----------------------------------------------------------
 
-    def _multiply(self, masks, act: np.ndarray, test4_mask) -> np.ndarray:
+    def _multiply(self, masks, regs, act: np.ndarray, test4_mask) -> np.ndarray:
         """Multiply phase on read activation blocks ``act`` (..., rows, cols, m).
 
-        Each active slot multiplies its weight by the element its index
-        register (or the test-4 forced pattern) selects; an index past the
-        block selects nothing.  ``test4_mask`` is one flag or one per wave,
-        since waves never interact.  Weights and indexes are read through
-        ``masks``.  Returns the per-TPE sums.
+        ``regs`` is a (weights, indexes) pair of register files, (rows, cols,
+        n) or a (tiles, rows, cols, n) stack, read through ``masks``.  Each
+        active slot multiplies its weight by the element its index register
+        (or the test-4 forced pattern) selects; an index past the block
+        selects nothing.  ``test4_mask`` is one flag or one per wave, since
+        waves never interact.  Returns the per-TPE sums.
         """
         cfg = self.config
         k = cfg.active_slots
-        weights = _masked(masks, RegClass.WEIGHT, self._regs[RegClass.WEIGHT])[..., :k, None]
+        weight_file, index_file = regs
+        weights = _masked(masks, RegClass.WEIGHT, weight_file)[..., :k, None]
 
         def element_weights(sel):
             # Each element's weight is the sum of the weights of the slots
@@ -382,7 +400,7 @@ class TensorArray:
             return (weights * (sel[..., :k, None] == np.arange(cfg.m))).sum(axis=-2)
 
         flags = np.asarray(test4_mask)
-        stored = _masked(masks, RegClass.WEIGHT_INDEX, self._regs[RegClass.WEIGHT_INDEX])
+        stored = _masked(masks, RegClass.WEIGHT_INDEX, index_file)
         per_element = element_weights(self._forced_sel if flags.all() else stored)
         if flags.any() and not flags.all():  # per-wave flags that differ
             per_wave = flags.reshape(flags.shape + (1,) * (act.ndim - 1))
@@ -428,7 +446,9 @@ class TensorArray:
         new_act[:, 0, :] = west
         self._regs[RegClass.ACTIVATION] = new_act
 
-        contrib = self._multiply(self._masks, self._read(RegClass.ACTIVATION), test4_mask)
+        contrib = self._multiply(
+            self._masks, self._loaded(), self._read(RegClass.ACTIVATION), test4_mask
+        )
 
         # Accumulate phase: add the north neighbour's previous-cycle output
         # (or the north port for row 0) and latch.
@@ -442,17 +462,25 @@ class TensorArray:
         self.cycles += 1
         return south
 
-    def _wave_inputs(self, blocks, north_values, test4_mask, bubbles: int):
+    def _loaded(self) -> tuple[np.ndarray, np.ndarray]:
+        """The loaded (weights, indexes) register files, for the wave engine."""
+        if not self.weights_loaded:
+            raise RuntimeError("weights must be loaded before streaming through the array")
+        return self._regs[RegClass.WEIGHT], self._regs[RegClass.WEIGHT_INDEX]
+
+    def _wave_inputs(self, blocks, north_values, test4_mask, bubbles: int, lead=()):
         """Wrapped (west blocks, north values, test-4 flags) per wave, for the engine.
 
-        The stream's X waves come first, then ``bubbles`` zero waves, which
-        keep the last row's test-4 flag: the override holds while it drains.
+        ``blocks`` is (X, *lead, rows, m).  The stream's X waves come first,
+        then ``bubbles`` zero waves, which keep the last row's test-4 flag:
+        the override holds while it drains.
         """
         cfg = self.config
         blocks = np.asarray(blocks, dtype=np.int64)
-        if blocks.ndim != 3 or blocks.shape[1:] != (cfg.rows, cfg.m):
+        want = (*lead, cfg.rows, cfg.m)
+        if blocks.ndim != 1 + len(want) or blocks.shape[1:] != want:
             raise ValueError(
-                f"blocks must have shape (X, {cfg.rows}, {cfg.m}), got {blocks.shape}"
+                f"blocks must have shape (X, {', '.join(map(str, want))}), got {blocks.shape}"
             )
         x_rows = blocks.shape[0]
         if north_values is None:
@@ -467,27 +495,26 @@ class TensorArray:
                 raise ValueError(f"need one test-4 flag per input row, got {flags.shape}")
             flags = np.append(flags, np.full(bubbles, x_rows > 0 and flags[-1]))
 
-        if not self.weights_loaded:
-            raise RuntimeError("weights must be loaded before streaming through the array")
-
         waves = x_rows + bubbles
-        act = np.zeros((waves, cfg.rows, cfg.m), dtype=np.int64)
+        act = np.zeros((waves,) + want, dtype=np.int64)
         act[:x_rows] = wrap_signed(blocks, cfg.data_width)
         psum = np.zeros((waves, cfg.cols), dtype=np.int64)
         psum[:x_rows] = wrap_signed(norths, cfg.acc_width)[:, None]
         return act, psum, flags
 
-    def _wavefront(self, masks, act: np.ndarray, psum: np.ndarray, test4_mask):
+    def _wavefront(self, masks, regs, act: np.ndarray, psum: np.ndarray, test4_mask):
         """The wave engine: every wave of a skewed stream, with no clock loop.
 
         Wave x meets TPE (r, c) at cycle x + r + c, and registers are
         rewritten every cycle, so a stuck bit only touches the waves passing
-        through it.  ``act`` (waves, ..., rows, m) holds the west blocks and
-        ``psum`` (waves, ..., cols) the north values; ``masks`` are read as
-        ``_masked`` reads them.  A lane axis of size 1 after the waves spreads
-        to the masks' lane axis wherever a faulted class is read.  Returns
-        (south sums, the activation blocks each column read, and per row the
-        last wave's latched partial sums with a wave axis of 1).
+        through it.  ``act`` (waves, ..., rows, m) holds the west blocks,
+        ``psum`` (waves, ..., cols) the north values and ``regs`` the
+        (weights, indexes) register files, (rows, cols, n) or stacked as
+        (tiles, rows, cols, n); ``masks`` are read as ``_masked`` reads them.
+        An axis of size 1 after the waves spreads to the masks' lane axis, or
+        to the tile axis of stacked registers.  Returns (south sums, the
+        activation blocks each column read, and per row the last wave's
+        latched partial sums with a wave axis of 1).
         """
         cfg = self.config
         latched_out = []
@@ -497,7 +524,7 @@ class TensorArray:
             if j == 0:  # the first read fixes the lane axis
                 seen = np.empty(act.shape[:-1] + (cfg.cols, cfg.m), dtype=np.int64)
             seen[..., j, :] = act
-        contrib = self._multiply(masks, seen, test4_mask)
+        contrib = self._multiply(masks, regs, seen, test4_mask)
 
         # Partial sums cascade south; the row below reads each row's output
         # register, stuck bits included.
@@ -522,7 +549,7 @@ class TensorArray:
         # appended: once the stream drains, it is what every TPE's
         # registers hold.
         act, psum, flags = self._wave_inputs(blocks, north_values, test4_mask, bubbles=1)
-        south, seen, latched_out = self._wavefront(self._masks, act, psum, flags)
+        south, seen, latched_out = self._wavefront(self._masks, self._loaded(), act, psum, flags)
         # Column j latches what column j-1 passed on; column 0 the bubble.
         self._regs[RegClass.ACTIVATION][:, 0] = 0
         self._regs[RegClass.ACTIVATION][:, 1:] = seen[-1, :, :-1]
@@ -545,8 +572,42 @@ class TensorArray:
         count are left untouched.
         """
         act, psum, flags = self._wave_inputs(blocks, north_values, test4_mask, bubbles=0)
-        south, _, _ = self._wavefront(lanes.masks, act[:, None], psum[:, None], flags)
+        south, _, _ = self._wavefront(
+            lanes.masks, self._loaded(), act[:, None], psum[:, None], flags
+        )
         return np.broadcast_to(south, (len(south), lanes.count, self.config.cols))
+
+    def stream_tiles(
+        self, values, indexes, blocks, north_values=None, test4_mask=False
+    ) -> np.ndarray:
+        """``stream`` once per tile of a stack, in one pass of the wave engine.
+
+        ``values`` and ``indexes`` are (tiles, rows, cols, n) stacks of
+        packed tiles, as ``ArrayConfig.pack`` packs them; tile t stands in
+        for the loaded weight and index registers and is read through the
+        faults injected into this array.  ``blocks`` is (X, tiles, rows, m),
+        tile t's own input rows; north values and test-4 flags are shared.
+        Returns results of shape (X, tiles, cols), where results[:, t] is
+        what ``stream`` returns with tile t loaded.  Registers and the cycle
+        count are left untouched, and no tile need be loaded.
+        """
+        cfg = self.config
+        regs = np.asarray(values), np.asarray(indexes)
+        for name, part in zip(("values", "indexes"), regs):
+            if part.ndim != 4 or part.shape[1:] != (cfg.rows, cfg.cols, cfg.n):
+                raise ValueError(
+                    f"tile {name} must have shape (tiles, {cfg.rows}, {cfg.cols}, "
+                    f"{cfg.n}), got {part.shape}"
+                )
+            if not np.issubdtype(part.dtype, np.integer):
+                raise ValueError(f"tile {name} must be integers, got dtype {part.dtype}")
+        if regs[0].shape != regs[1].shape:
+            raise ValueError(f"{len(regs[0])} tile values for {len(regs[1])} tile indexes")
+        act, psum, flags = self._wave_inputs(
+            blocks, north_values, test4_mask, bubbles=0, lead=regs[0].shape[:1]
+        )
+        south, _, _ = self._wavefront(self._masks, regs, act, psum[:, None], flags)
+        return south
 
     def run_compute(self, a):
         """Stream the rows of ``a`` (X x rows*m) through the loaded weights.
@@ -575,11 +636,11 @@ class TensorArray:
         This is the comparison step of the self-test: the returned values are
         what the detection logic inspects, and they pass through the (possibly
         faulty) edge accumulator register of each column.  Sums come as one
-        row or as one row per test.
+        row, one row per test, or one per test and stacked tile.
         """
         cfg = self.config
         raw = np.asarray(raw_sums, dtype=np.int64)
-        shape_ok = raw.ndim in (1, 2) and raw.size and raw.shape[-1] == cfg.cols
+        shape_ok = raw.ndim in (1, 2, 3) and raw.size and raw.shape[-1] == cfg.cols
         if not shape_ok or np.shape(golden) != raw.shape:
             raise ValueError(f"edge comparison needs {cfg.cols} values per side and test")
         return self._edge_sum(self._masks, raw, golden)

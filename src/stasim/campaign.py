@@ -41,11 +41,6 @@ from stasim.selftest import (
 )
 from stasim.sparsity import SparseWeightTile
 
-#: Elements (lanes x waves x rows x cols x m) one lane pass may hold in each
-#: of its temporaries.  It sets how many faults share a pass, and so bounds
-#: the campaign's memory whatever the array size or fault count.
-LANE_BUDGET = 1 << 15
-
 #: Random activation rows per tile that an undetected fault must leave
 #: bit-identical to count as harmless.
 HARMLESS_ROWS = 40
@@ -149,13 +144,12 @@ def _sweep(array, tiles, universe: FaultLanes, ids, waves, settle) -> list[int]:
     """Walk lanes ``ids`` of ``universe`` through ``tiles``.
 
     Per tile, the lanes still live are cut into chunks of as many lanes as
-    ``LANE_BUDGET`` allows for passes of ``waves`` waves, and
+    ``ArrayConfig.per_pass`` allows for passes of ``waves`` waves, and
     ``settle(tile index, lanes, lane ids)`` returns one flag per lane of a
     chunk: flagged lanes drop out, the rest go on to the next tile.  Returns
     the ids no tile settled, in order.
     """
-    cfg = array.config
-    per_pass = max(1, LANE_BUDGET // (max(waves, 1) * cfg.rows * cfg.cols * cfg.m))
+    per_pass = array.config.per_pass(waves)
     live = np.asarray(ids, dtype=np.int64)
     for ti, tile in enumerate(tiles):
         if not len(live):

@@ -1,11 +1,15 @@
 """Tiled matrix multiplication on the array, with cycle accounting.
 
 The driver cuts a layer's weight matrix into array-sized tiles (rows*m dense
-rows by cols columns, zero-padded at the edges), loads each tile, optionally
-runs a self-test session on it, then streams the activation rows through.
-Partial products of the K-direction tiles are accumulated host-side at the
-accumulator width; every value-0 pad is mathematically inert, so padded and
-unpadded runs agree bit for bit on the real region.
+rows by cols columns, zero-padded at the edges).  Each tile is loaded,
+optionally self-tested with one session, then streamed with the activation
+rows; the cycle accounting charges exactly that per tile.  The host runs a
+layer's tiles as a stack: the layer is packed once, and each chunk of tiles
+(as many as ``ArrayConfig.per_pass`` allows) shares one session pass and
+one compute pass of the wave engine, the stacked tiles standing in for the
+loaded registers.  Partial products of the K-direction tiles are accumulated
+host-side at the accumulator width; every value-0 pad is mathematically
+inert, so padded and unpadded runs agree bit for bit on the real region.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import numpy as np
 
 from stasim.arith import check_signed_range, wrap_signed
 from stasim.array import ArrayConfig, FaultSite, TensorArray
-from stasim.selftest import TestReport, compute_golden, run_session
+from stasim.selftest import TestReport, stacked_sessions
 
 
 @dataclass
@@ -80,7 +84,7 @@ def tiled_matmul(
     stats = CycleStats()
     reports: list[TestReport] = []
     results: list[np.ndarray] = []
-    br, cols = config.block_rows, config.cols
+    r, br, cols = config.rows, config.block_rows, config.cols
 
     for li, layer in enumerate(workload.layers):
         a, w = np.asarray(layer.a), np.asarray(layer.w)
@@ -95,31 +99,40 @@ def tiled_matmul(
         c_total = w.shape[1]
         k_tiles = -(-k_depth // br)
         c_tiles = -(-c_total // cols)
+        tiles = k_tiles * c_tiles
 
-        a_pad = np.zeros((x_rows, k_tiles * br), dtype=np.int64)
-        a_pad[:, :k_depth] = a
-        w_pad = np.zeros((k_tiles * br, c_tiles * cols), dtype=np.int64)
-        w_pad[:k_depth, :c_total] = w
-
-        acc = np.zeros((x_rows, c_tiles * cols), dtype=np.int64)
-        for ki in range(k_tiles):
-            for ci in range(c_tiles):
-                tile = config.pack(
-                    w_pad[ki * br : (ki + 1) * br, ci * cols : (ci + 1) * cols]
-                )
-                array.load_weights(tile)
-                stats.load_cycles += config.rows
+        acc = np.zeros((x_rows, c_tiles, cols), dtype=np.int64)
+        if tiles:
+            a_pad = np.zeros((x_rows, k_tiles * br), dtype=np.int64)
+            a_pad[:, :k_depth] = a
+            w_pad = np.zeros((k_tiles * br, c_tiles * cols), dtype=np.int64)
+            w_pad[:k_depth, :c_total] = w
+            # Tiles in (ki, ci) order; tile (ki, ci) packs block rows ki*R..
+            # and columns ci*C.. of the layer, which is packed once.
+            packed = config.pack(w_pad)
+            values, indexes = (
+                part.reshape(k_tiles, r, c_tiles, cols, config.n)
+                .swapaxes(1, 2)
+                .reshape(tiles, r, cols, config.n)
+                for part in (packed.values, packed.indexes)
+            )
+            blocks = a_pad.reshape(x_rows, k_tiles, r, config.m)
+            # Budgeted on the longer pass: the session's four waves or X.
+            step = config.per_pass(max(x_rows, 4))
+            for start in range(0, tiles, step):
+                chunk = np.s_[start : start + step]
+                ki, ci = np.divmod(np.arange(tiles)[chunk], c_tiles)
                 if testing:
-                    golden = compute_golden(tile, config)
-                    reports.append(
-                        run_session(array, golden, tile_id=f"layer{li}/k{ki}/c{ci}")
-                    )
-                    stats.test_cycles += 4
-                out, cycles = array.run_compute(a_pad[:, ki * br : (ki + 1) * br])
-                stats.compute_cycles += cycles
-                acc[:, ci * cols : (ci + 1) * cols] += out
-                stats.tiles_executed += 1
-        results.append(wrap_signed(acc, config.acc_width)[:, :c_total])
+                    ids = [f"layer{li}/k{k}/c{c}" for k, c in zip(ki.tolist(), ci.tolist())]
+                    reports += stacked_sessions(array, values[chunk], indexes[chunk], ids)
+                out = array.stream_tiles(values[chunk], indexes[chunk], blocks[:, ki])
+                np.add.at(acc, (slice(None), ci), out)
+        stats.load_cycles += tiles * r
+        stats.test_cycles += tiles * 4 if testing else 0
+        stats.compute_cycles += tiles * (x_rows + r + cols - 1)
+        stats.tiles_executed += tiles
+        flat = acc.reshape(x_rows, c_tiles * cols)
+        results.append(wrap_signed(flat, config.acc_width)[:, :c_total])
 
     return results, stats, reports
 

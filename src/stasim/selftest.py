@@ -39,36 +39,49 @@ def session_vectors(m: int) -> list[np.ndarray]:
     return [ones, -ones, ramp, ramp]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GoldenReference:
     """Golden values added to the raw column sums, one row per test.
 
-    ``per_test`` has shape (4, cols) and is valid only on an array of
-    ``config``, the configuration it was computed for.
+    ``per_test`` has shape (4, cols) for one tile, or (4, tiles, cols) for a
+    stack of tiles, and is valid only on an array of ``config``, the
+    configuration it was computed for.  Construction checks that it is
+    integer, with 4 tests first and ``config.cols`` columns last.
     """
 
     per_test: np.ndarray
     config: ArrayConfig
 
+    def __post_init__(self) -> None:
+        per_test = np.asarray(self.per_test)
+        if not np.issubdtype(per_test.dtype, np.integer):
+            raise ValueError(f"golden values must be integers, got dtype {per_test.dtype}")
+        shape = per_test.shape
+        if per_test.ndim not in (2, 3) or shape[0] != 4 or shape[-1] != self.config.cols:
+            raise ValueError(
+                f"golden values must have shape (4, {self.config.cols}) or "
+                f"(4, tiles, {self.config.cols}), got {shape}"
+            )
+        object.__setattr__(self, "per_test", per_test.astype(np.int64))
+
     @property
     def cols(self) -> int:
-        return self.per_test.shape[1]
+        return self.per_test.shape[-1]
 
 
-def compute_golden(tile: SparseWeightTile, config: ArrayConfig) -> GoldenReference:
-    """Golden values for a tile, from the software-side packed model.
+def _golden(values: np.ndarray, indexes: np.ndarray, config: ArrayConfig) -> GoldenReference:
+    """Golden values of packed tiles, (rows, cols, n) or (tiles, rows, cols, n).
 
     For column j with per-column weight sum S_j (active slots only):
     test 1 adds -S_j, test 2 adds +S_j, test 3 adds the negated
     position-weighted sum -sum((index+1) * weight), and test 4 adds
     -((j mod m) + 1) * S_j to cancel the forced-selection response.
     """
-    config.check_tile(tile)
     k = config.active_slots
-    w = tile.values[..., :k]
-    pos = tile.indexes[..., :k]
-    wsum = w.sum(axis=(0, 2))
-    ramp_weighted = ((pos + 1) * w).sum(axis=(0, 2))
+    w = values[..., :k]
+    pos = indexes[..., :k]
+    wsum = w.sum(axis=(-3, -1))
+    ramp_weighted = ((pos + 1) * w).sum(axis=(-3, -1))
     forced = (np.arange(config.cols, dtype=np.int64) % config.m) + 1
     per_test = np.stack(
         [
@@ -79,6 +92,15 @@ def compute_golden(tile: SparseWeightTile, config: ArrayConfig) -> GoldenReferen
         ]
     )
     return GoldenReference(wrap_signed(per_test, config.acc_width), config)
+
+
+def compute_golden(tile: SparseWeightTile, config: ArrayConfig) -> GoldenReference:
+    """Golden values for a tile, from the software-side packed model.
+
+    ``_golden`` holds the formula, which also serves stacks of tiles.
+    """
+    config.check_tile(tile)
+    return _golden(tile.values, tile.indexes, config)
 
 
 class VerdictKind(str, Enum):
@@ -245,6 +267,35 @@ def _check_session(array: TensorArray, golden: GoldenReference) -> None:
         want, got = asdict(array.config), asdict(golden.config)
         wrong = "; ".join(f"{k} {got[k]!r}, not {v!r}" for k, v in want.items() if got[k] != v)
         raise ValueError(f"golden reference computed for another array: {wrong}")
+    if golden.per_test.ndim != 2:
+        raise ValueError(
+            f"a session needs one tile's golden reference, got shape {golden.per_test.shape}"
+        )
+
+
+def _reports(raw, compared, golden: GoldenReference, tile_ids) -> list[TestReport]:
+    """One report per session of sums (4, sessions, cols), classified at once."""
+    kinds, windows = classify(raw, compared, golden)
+    # Every deviating column has a verdict.
+    detected = (kinds != _OK).any(axis=-1).tolist()
+    return [
+        TestReport(
+            tile_id=tile_id,
+            raw=tuple(map(tuple, raw_rows)),
+            compared=tuple(map(tuple, compared_rows)),
+            detected=hit,
+            verdicts=session_verdicts(session_kinds, session_windows),
+        )
+        for tile_id, raw_rows, compared_rows, hit, session_kinds, session_windows in zip(
+            tile_ids,
+            np.swapaxes(raw, 0, 1).tolist(),
+            np.swapaxes(compared, 0, 1).tolist(),
+            detected,
+            kinds,
+            windows,
+            strict=True,
+        )
+    ]
 
 
 def run_session(
@@ -265,14 +316,24 @@ def run_session(
     raw, _ = array.stream(*_session_stream(cfg.rows, cfg.m))
     array.cycles += cfg.rows + cfg.cols - 1
     compared = array.edge_compare(raw, golden.per_test)
-    kinds, windows = classify(raw, compared, golden)
-    return TestReport(
-        tile_id=tile_id,
-        raw=tuple(tuple(int(v) for v in row) for row in raw),
-        compared=tuple(tuple(int(v) for v in row) for row in compared),
-        detected=bool((kinds != _OK).any()),  # every deviating column has a verdict
-        verdicts=session_verdicts(kinds, windows),
-    )
+    return _reports(raw[:, None], compared[:, None], golden, [tile_id])[0]
+
+
+def stacked_sessions(array: TensorArray, values, indexes, tile_ids) -> list[TestReport]:
+    """``run_session`` once per tile of a stack, in one pass of the wave engine.
+
+    ``values`` and ``indexes`` are (tiles, rows, cols, n) stacks of packed
+    tiles, as ``TensorArray.stream_tiles`` takes them.  Report t, named
+    ``tile_ids[t]``, is what ``run_session`` reports with tile t loaded into
+    ``array`` and the golden computed from it.  Registers and the cycle count
+    are left untouched, and no tile need be loaded.
+    """
+    cfg = array.config
+    blocks, norths, flags = _session_stream(cfg.rows, cfg.m)
+    per_tile = np.broadcast_to(blocks[:, None], (4, len(values)) + blocks.shape[1:])
+    raw = array.stream_tiles(values, indexes, per_tile, norths, flags)
+    golden = _golden(values, indexes, cfg)
+    return _reports(raw, array.edge_compare(raw, golden.per_test), golden, tile_ids)
 
 
 def lane_session(

@@ -1,12 +1,15 @@
 """Unit tests for tiled matmul orchestration and cycle accounting."""
 
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import stasim.array
 from stasim.arith import wrap_signed
-from stasim.array import ArrayConfig, FaultSite, RegClass
+from stasim.array import ArrayConfig, FaultSite, RegClass, TensorArray
 from stasim.driver import (
     CycleStats,
     Layer,
@@ -15,8 +18,9 @@ from stasim.driver import (
     synthetic_workload,
     tiled_matmul,
 )
+from stasim.selftest import compute_golden, run_session
 from stasim.sparsity import densify, pack_tile
-from test_stream import configs
+from test_stream import configs, random_fault
 
 
 def pruned_oracle(a, w, config):
@@ -232,3 +236,114 @@ def test_synthetic_workload_shapes_and_bounds():
         assert abs(layer.w).max() <= 9
     full = synthetic_workload(rng, [(64, 64, 64)])
     assert abs(full.layers[0].a).max() > 9  # defaults use the full data width
+
+
+def per_tile_matmul(workload, config, testing=True, faults=()):
+    """Reference driver: one tile at a time through ``load_weights``,
+    ``run_session`` and ``run_compute``, the loop stacked layers replace."""
+    array = TensorArray(config)
+    for f in faults:
+        array.inject(f)
+    stats = CycleStats()
+    reports, results = [], []
+    br, cols = config.block_rows, config.cols
+    for li, layer in enumerate(workload.layers):
+        a, w = np.asarray(layer.a, dtype=np.int64), np.asarray(layer.w, dtype=np.int64)
+        x_rows, k_depth = a.shape
+        c_total = w.shape[1]
+        k_tiles, c_tiles = -(-k_depth // br), -(-c_total // cols)
+        a_pad = np.zeros((x_rows, k_tiles * br), dtype=np.int64)
+        a_pad[:, :k_depth] = a
+        w_pad = np.zeros((k_tiles * br, c_tiles * cols), dtype=np.int64)
+        w_pad[:k_depth, :c_total] = w
+        acc = np.zeros((x_rows, c_tiles * cols), dtype=np.int64)
+        for ki in range(k_tiles):
+            for ci in range(c_tiles):
+                tile = config.pack(w_pad[ki * br : (ki + 1) * br, ci * cols : (ci + 1) * cols])
+                array.load_weights(tile)
+                stats.load_cycles += config.rows
+                if testing:
+                    golden = compute_golden(tile, config)
+                    reports.append(run_session(array, golden, tile_id=f"layer{li}/k{ki}/c{ci}"))
+                    stats.test_cycles += 4
+                out, cycles = array.run_compute(a_pad[:, ki * br : (ki + 1) * br])
+                stats.compute_cycles += cycles
+                acc[:, ci * cols : (ci + 1) * cols] += out
+                stats.tiles_executed += 1
+        results.append(wrap_signed(acc, config.acc_width)[:, :c_total])
+    return results, stats, reports
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    cfg=configs(),
+    shapes=st.lists(
+        st.tuples(st.integers(0, 5), st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=3
+    ),
+    testing=st.booleans(),
+    fault_classes=st.lists(st.sampled_from(list(RegClass)), max_size=2),
+    tiles_per_pass=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_layers_match_per_tile_driver(
+    cfg, shapes, testing, fault_classes, tiles_per_pass, seed
+):
+    """Results, cycle accounting and every report's JSON match the per-tile
+    loop, with the budget cut so that layers split into chunks of a few
+    tiles, or of one."""
+    rng = np.random.default_rng(seed)
+    half = 1 << (cfg.data_width - 1)
+    layers = []
+    for x_rows, k_blocks, c_cols in shapes:
+        # Up to three tiles each way, mostly with a partial tile at the edge.
+        k = int(rng.integers(0, k_blocks * cfg.block_rows + 1))
+        c = int(rng.integers(0, c_cols * cfg.cols + 1))
+        a = rng.integers(-half, half, size=(x_rows, k), dtype=np.int64)
+        layers.append(Layer(a, rng.integers(-half, half, size=(k, c), dtype=np.int64)))
+    workload = Workload(layers)
+    faults, bits = [], set()
+    for cls in fault_classes:
+        fault = random_fault(rng, cfg, cls)
+        where = (fault.reg_class, fault.row, fault.col, fault.element, fault.bit)
+        if where not in bits:
+            bits.add(where)
+            faults.append(fault)
+    budget = tiles_per_pass * 5 * cfg.rows * cfg.cols * cfg.m
+    with patch.object(stasim.array, "LANE_BUDGET", budget):
+        results, stats, reports = tiled_matmul(workload, cfg, testing, tuple(faults))
+    want_results, want_stats, want_reports = per_tile_matmul(workload, cfg, testing, faults)
+    assert len(results) == len(want_results)
+    for got, want in zip(results, want_results):
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+    assert stats.to_dict() == want_stats.to_dict()
+    assert [r.to_json() for r in reports] == [r.to_json() for r in want_reports]
+
+
+def test_layers_without_tiles():
+    """K = 0 or C = 0 leaves no tile to run; X = 0 still loads, tests and
+    drains every tile."""
+    cfg = ArrayConfig(rows=2, cols=3)
+    empty_k = Layer(np.zeros((4, 0), dtype=np.int64), np.zeros((0, 5), dtype=np.int64))
+    empty_c = Layer(np.ones((4, 9), dtype=np.int64), np.zeros((9, 0), dtype=np.int64))
+    for testing in (True, False):
+        results, stats, reports = tiled_matmul(Workload([empty_k, empty_c]), cfg, testing)
+        assert [r.shape for r in results] == [(4, 5), (4, 0)]
+        assert not results[0].any()
+        assert stats.to_dict() == CycleStats().to_dict()
+        assert reports == []
+    no_rows = Layer(np.zeros((0, 9), dtype=np.int64), np.ones((9, 5), dtype=np.int64))
+    results, stats, reports = tiled_matmul(Workload([empty_k, no_rows, empty_c]), cfg)
+    assert [r.shape for r in results] == [(4, 5), (0, 5), (4, 0)]
+    tiles = 2 * 2
+    assert stats.to_dict() == {
+        "load_cycles": cfg.rows * tiles,
+        "compute_cycles": (0 + cfg.rows + cfg.cols - 1) * tiles,
+        "test_cycles": 4 * tiles,
+        "total_cycles": (cfg.rows + cfg.rows + cfg.cols - 1 + 4) * tiles,
+        "tiles_executed": tiles,
+    }
+    assert [r.tile_id for r in reports] == [
+        "layer1/k0/c0", "layer1/k0/c1", "layer1/k1/c0", "layer1/k1/c1"
+    ]
+    assert not any(r.detected for r in reports)

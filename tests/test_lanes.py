@@ -13,6 +13,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import stasim.array
 import stasim.campaign as campaign
 from stasim.array import FaultLanes, FaultSite, RegClass, TensorArray
 from stasim.campaign import run_campaign
@@ -179,7 +180,7 @@ def test_lane_campaign_matches_per_fault_loop(
         return reference_evaluate(universe.config, tiles, goldens, faults, verify, harness)
 
     with patch.object(campaign, "HARMLESS_ROWS", harmless_rows):
-        with patch.object(campaign, "LANE_BUDGET", budget), patch.object(
+        with patch.object(stasim.array, "LANE_BUDGET", budget), patch.object(
             campaign, "_evaluate_faults", recording("lanes", campaign._evaluate_faults)
         ):
             lanes = run_campaign(tiles, cfg, **kwargs)

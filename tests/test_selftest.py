@@ -1,6 +1,7 @@
 """Unit tests for the four-vector self-test session and fault localization."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -225,6 +226,39 @@ def test_session_preconditions():
     other = GoldenReference(np.zeros((4, 3), dtype=np.int64), ArrayConfig(rows=2, cols=3))
     with pytest.raises(ValueError):
         run_session(array, other)
+
+
+def test_golden_reference_checks_its_values():
+    cfg = ArrayConfig(rows=1, cols=2)
+    with pytest.raises(ValueError, match="golden values must be integers, got dtype float64"):
+        GoldenReference(np.zeros((4, 3)), cfg)
+    for shape in [(4, 3), (3, 2), (2,), (4, 1, 1, 2)]:
+        with pytest.raises(ValueError, match=re.escape(f"(4, 2) or (4, tiles, 2), got {shape}")):
+            GoldenReference(np.zeros(shape, dtype=np.int64), cfg)
+    golden = GoldenReference([[1, -2]] * 4, cfg)
+    assert golden.per_test.dtype == np.int64
+    assert golden.cols == 2
+    assert GoldenReference(np.zeros((4, 5, 2), dtype=np.int32), cfg).cols == 2
+
+
+def test_golden_references_compare_by_identity():
+    cfg = ArrayConfig(rows=1, cols=2)
+    tile = cfg.pack(np.ones((4, 2), dtype=np.int64))
+    first, second = compute_golden(tile, cfg), compute_golden(tile, cfg)
+    assert first == first
+    assert first != second
+    assert np.array_equal(first.per_test, second.per_test)
+
+
+def test_sessions_need_one_tiles_golden():
+    cfg = ArrayConfig(rows=1, cols=2)
+    array = TensorArray(cfg)
+    array.load_weights(cfg.pack(np.ones((4, 2), dtype=np.int64)))
+    stacked = GoldenReference(np.zeros((4, 1, 2), dtype=np.int64), cfg)
+    lanes = FaultLanes(cfg, [FaultSite(RegClass.WEIGHT, 0, 0, 0, 0, 1)])
+    for session in (run_session, lambda *args: lane_session(*args, lanes)):
+        with pytest.raises(ValueError, match=r"golden reference, got shape \(4, 1, 2\)"):
+            session(array, stacked)
 
 
 @pytest.mark.parametrize("field, value", [("mode", "1:4"), ("rows", 4), ("acc_width", 17)])

@@ -149,3 +149,61 @@ def test_wave_stream_matches_stepper(cfg, fault_classes, streams, warmup_steps, 
         assert np.array_equal(got, want)
         assert got_cycles == want_cycles == x_rows + cfg.rows + cfg.cols - 1
         assert_same_state(wave, ref)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    cfg=configs(),
+    fault_classes=st.lists(st.sampled_from(list(RegClass)), max_size=3),
+    tiles=st.integers(0, 4),
+    x_rows=st.integers(0, 6),
+    test4_mask=st.sampled_from([False, True, "rows"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_tiles_match_one_stream_per_tile(
+    cfg, fault_classes, tiles, x_rows, test4_mask, seed
+):
+    """``stream_tiles`` column t is ``stream`` with tile t loaded, through the same faults."""
+    rng = np.random.default_rng(seed)
+    d_lo, d_hi = -(1 << (cfg.data_width - 1)), 1 << (cfg.data_width - 1)
+    a_lo, a_hi = -(1 << (cfg.acc_width - 1)), 1 << (cfg.acc_width - 1)
+    stacked, single = TensorArray(cfg), TensorArray(cfg)
+    bits = set()
+    for cls in fault_classes:
+        fault = random_fault(rng, cfg, cls)
+        where = (fault.reg_class, fault.row, fault.col, fault.element, fault.bit)
+        if where not in bits:
+            bits.add(where)
+            stacked.inject(fault)
+            single.inject(fault)
+    stack = [random_tile(rng, cfg) for _ in range(tiles)]
+    values, indexes = np.zeros((2, tiles, cfg.rows, cfg.cols, cfg.n), dtype=np.int64)
+    for t, tile in enumerate(stack):
+        values[t], indexes[t] = tile.values, tile.indexes
+    blocks = rng.integers(2 * d_lo, 2 * d_hi, size=(x_rows, tiles, cfg.rows, cfg.m))
+    norths = rng.integers(2 * a_lo, 2 * a_hi, size=x_rows)
+    if test4_mask == "rows":
+        test4_mask = rng.integers(0, 2, size=x_rows).astype(bool)
+    got = stacked.stream_tiles(values, indexes, blocks, norths, test4_mask)
+    assert got.shape == (x_rows, tiles, cfg.cols)
+    for t, tile in enumerate(stack):
+        single.load_weights(tile)
+        want, _ = single.stream(blocks[:, t], norths, test4_mask)
+        assert np.array_equal(got[:, t], want)
+    assert stacked.cycles == 0 and not stacked.weights_loaded
+
+
+def test_stacked_tiles_reject_bad_shapes():
+    cfg = ArrayConfig(rows=2, cols=3)
+    array = TensorArray(cfg)
+    regs = np.zeros((2, 2, 3, cfg.n), dtype=np.int64)
+    blocks = np.zeros((5, 2, 2, cfg.m), dtype=np.int64)
+    assert array.stream_tiles(regs, regs, blocks).shape == (5, 2, 3)
+    for values, indexes, bad in [
+        (regs[0], regs[0], r"tile values must have shape \(tiles, 2, 3, 2\), got \(2, 3, 2\)"),
+        (regs, regs[:1], r"2 tile values for 1 tile indexes"),
+        (regs, regs.astype(float), r"tile indexes must be integers"),
+        (regs[:1], regs[:1], r"blocks must have shape \(X, 1, 2, 4\), got \(5, 2, 2, 4\)"),
+    ]:
+        with pytest.raises(ValueError, match=bad):
+            array.stream_tiles(values, indexes, blocks)
