@@ -19,8 +19,9 @@ finished column-j sum for input row x leaves the array at cycle ``x + R + j``.
 A full stream of X input rows therefore takes ``X + R + C - 1`` cycles.
 Registers are rewritten every cycle, so ``stream`` computes wave by wave, with
 no clock loop, and waves never interact: the test-4 selection override can be
-set per wave, which lets a whole self-test session run as one stream.
-``step`` advances one cycle and is the reference it is tested against.
+set per wave, which lets a whole self-test session run as one stream.  A pass
+writes no register: ``step``, the one clocked model, latches what
+``registers()`` reads back and is the reference the passes are tested against.
 
 The same wave engine carries an optional axis after the waves, in one of two
 uses.  ``stream_lanes`` evaluates a batch of single faults in one pass, lane l
@@ -35,12 +36,13 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
+from numbers import Integral
 from typing import Sequence
 
 import numpy as np
 
 from stasim.arith import check_signed_range, wrap_signed
-from stasim.sparsity import SparseWeightTile, pack_tile
+from stasim.sparsity import SparseWeightTile, check_entries, pack_tile
 
 #: Elements (lanes or tiles x waves x rows x cols x m) one pass of the wave
 #: engine may hold in each of its temporaries.  It sets how many fault lanes
@@ -95,6 +97,11 @@ class ArrayConfig:
     mode: str | None = None
 
     def __post_init__(self) -> None:
+        for name in ("rows", "cols", "m", "n", "data_width", "acc_width"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise ValueError(f"ArrayConfig {name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.rows < 1 or self.cols < 1:
             raise ValueError(f"array grid {self.rows}x{self.cols} must be at least 1x1")
         if not 1 <= self.n <= self.m:
@@ -212,19 +219,21 @@ class FaultSite:
     stuck: int
 
     def validate(self, config: ArrayConfig) -> None:
-        if self.stuck not in (0, 1):
-            raise ValueError(f"stuck polarity must be 0 or 1, got {self.stuck}")
-        spec = config.reg_specs[self.reg_class]
-        for name, value, limit in zip(
-            ("row", "col", "element", "bit"),
-            (self.row, self.col, self.element, self.bit),
-            spec.shape + (spec.width,),
-        ):
-            if not 0 <= value < limit:
+        """Reject a field that is not an integer in its range (a bool only as ``stuck``)."""
+        cls = self.reg_class
+        spec = config.reg_specs[cls]
+        limits = spec.shape + (spec.width, 2)
+        for name, limit in zip(("row", "col", "element", "bit", "stuck"), limits):
+            value = getattr(self, name)
+            # Plain ints skip the slower ``Integral`` check.
+            if type(value) is not int and (
+                not isinstance(value, Integral) or (isinstance(value, bool) and name != "stuck")
+            ):
                 raise ValueError(
-                    f"{name} {value} outside 0..{limit - 1} "
-                    f"for {self.reg_class.value}"
+                    f"FaultSite {name} must be an integer for {cls.value}, got {value!r}"
                 )
+            if not 0 <= value < limit:
+                raise ValueError(f"{name} {value} outside 0..{limit - 1} for {cls.value}")
 
     def mask_bits(self, config: ArrayConfig) -> tuple[int, int]:
         """The (and, or) words this fault applies to its register's reads.
@@ -330,7 +339,6 @@ class TensorArray:
         # injected faults are these masks and nothing else.
         self._masks: dict[RegClass, tuple[np.ndarray, np.ndarray]] = {}
         self.weights_loaded = False
-        self.cycles = 0
 
     # -- fault management -------------------------------------------------
 
@@ -365,17 +373,15 @@ class TensorArray:
     def load_weights(self, tile: SparseWeightTile) -> None:
         """Shift a packed tile into the weight and index registers.
 
-        Loading runs column-parallel, one grid row per cycle, so it costs
-        ``rows`` cycles.  Output and activation registers are cleared.
+        Loading runs column-parallel, one grid row per cycle, so ``CycleStats``
+        charges ``rows`` cycles.  Output and activation registers are cleared.
         """
-        cfg = self.config
-        cfg.check_tile(tile)
+        self.config.check_tile(tile)
         self._regs[RegClass.WEIGHT][:] = tile.values
         self._regs[RegClass.WEIGHT_INDEX][:] = tile.indexes
         for cls in (RegClass.ACTIVATION, RegClass.OUTPUT):
             self._regs[cls][:] = 0
         self.weights_loaded = True
-        self.cycles += cfg.rows
 
     # -- datapath ----------------------------------------------------------
 
@@ -459,7 +465,6 @@ class TensorArray:
         south = out_read[-1].copy()
         latched = wrap_signed(north_in + contrib, cfg.acc_width)
         self._regs[RegClass.OUTPUT] = latched[..., None]
-        self.cycles += 1
         return south
 
     def _loaded(self) -> tuple[np.ndarray, np.ndarray]:
@@ -468,12 +473,10 @@ class TensorArray:
             raise RuntimeError("weights must be loaded before streaming through the array")
         return self._regs[RegClass.WEIGHT], self._regs[RegClass.WEIGHT_INDEX]
 
-    def _wave_inputs(self, blocks, north_values, test4_mask, bubbles: int, lead=()):
+    def _wave_inputs(self, blocks, north_values, test4_mask, lead=()):
         """Wrapped (west blocks, north values, test-4 flags) per wave, for the engine.
 
-        ``blocks`` is (X, *lead, rows, m).  The stream's X waves come first,
-        then ``bubbles`` zero waves, which keep the last row's test-4 flag:
-        the override holds while it drains.
+        ``blocks`` is (X, *lead, rows, m); wave x carries input row x.
         """
         cfg = self.config
         blocks = np.asarray(blocks, dtype=np.int64)
@@ -490,17 +493,10 @@ class TensorArray:
             if norths.shape != (x_rows,):
                 raise ValueError(f"need one north value per input row, got {norths.shape}")
         flags = np.asarray(test4_mask, dtype=bool)
-        if flags.ndim:
-            if flags.shape != (x_rows,):
-                raise ValueError(f"need one test-4 flag per input row, got {flags.shape}")
-            flags = np.append(flags, np.full(bubbles, x_rows > 0 and flags[-1]))
-
-        waves = x_rows + bubbles
-        act = np.zeros((waves,) + want, dtype=np.int64)
-        act[:x_rows] = wrap_signed(blocks, cfg.data_width)
-        psum = np.zeros((waves, cfg.cols), dtype=np.int64)
-        psum[:x_rows] = wrap_signed(norths, cfg.acc_width)[:, None]
-        return act, psum, flags
+        if flags.ndim and flags.shape != (x_rows,):
+            raise ValueError(f"need one test-4 flag per input row, got {flags.shape}")
+        act, psum = wrap_signed(blocks, cfg.data_width), wrap_signed(norths, cfg.acc_width)
+        return act, psum[:, None], flags
 
     def _wavefront(self, masks, regs, act: np.ndarray, psum: np.ndarray, test4_mask):
         """The wave engine: every wave of a skewed stream, with no clock loop.
@@ -508,16 +504,14 @@ class TensorArray:
         Wave x meets TPE (r, c) at cycle x + r + c, and registers are
         rewritten every cycle, so a stuck bit only touches the waves passing
         through it.  ``act`` (waves, ..., rows, m) holds the west blocks,
-        ``psum`` (waves, ..., cols) the north values and ``regs`` the
-        (weights, indexes) register files, (rows, cols, n) or stacked as
-        (tiles, rows, cols, n); ``masks`` are read as ``_masked`` reads them.
-        An axis of size 1 after the waves spreads to the masks' lane axis, or
-        to the tile axis of stacked registers.  Returns (south sums, the
-        activation blocks each column read, and per row the last wave's
-        latched partial sums with a wave axis of 1).
+        ``psum`` (waves, ..., 1) the north values and ``regs`` the (weights,
+        indexes) register files, (rows, cols, n) or stacked as (tiles, rows,
+        cols, n); ``masks`` are read as ``_masked`` reads them.  An axis of
+        size 1 after the waves spreads to the masks' lane axis, or to the
+        tile axis of stacked registers.  Returns the south sums; no register
+        is written.
         """
         cfg = self.config
-        latched_out = []
         for j in range(cfg.cols):
             # The hop east reads this column's register, stuck bits included.
             act = _masked(masks, RegClass.ACTIVATION, act, np.s_[..., j, :])
@@ -530,9 +524,8 @@ class TensorArray:
         # register, stuck bits included.
         for i in range(cfg.rows):
             psum = wrap_signed(psum + contrib[..., i, :], cfg.acc_width)
-            latched_out.append(psum[-1:])
             psum = _masked(masks, RegClass.OUTPUT, psum, np.s_[..., i, :, 0])
-        return psum, seen, latched_out
+        return psum
 
     def stream(self, blocks, north_values=None, test4_mask=False):
         """Feed X input rows with systolic skew and collect finished sums.
@@ -542,23 +535,13 @@ class TensorArray:
         and reaches each column's north port exactly when that row's wave
         arrives there.  ``test4_mask`` is one flag or one per row.  Returns
         (results, cycles) where results[x, j] is the column-j sum for input
-        row x and cycles == X + rows + cols - 1.
+        row x and cycles == X + rows + cols - 1.  The pass writes no
+        register: ``step`` is the clocked model.
         """
         cfg = self.config
-        # One trailing bubble wave (zero block, zero north value) is
-        # appended: once the stream drains, it is what every TPE's
-        # registers hold.
-        act, psum, flags = self._wave_inputs(blocks, north_values, test4_mask, bubbles=1)
-        south, seen, latched_out = self._wavefront(self._masks, self._loaded(), act, psum, flags)
-        # Column j latches what column j-1 passed on; column 0 the bubble.
-        self._regs[RegClass.ACTIVATION][:, 0] = 0
-        self._regs[RegClass.ACTIVATION][:, 1:] = seen[-1, :, :-1]
-        self._regs[RegClass.OUTPUT][..., 0] = np.concatenate(latched_out)
-
-        x_rows = len(south) - 1
-        total = x_rows + cfg.rows + cfg.cols - 1
-        self.cycles += total
-        return south[:x_rows], total
+        act, psum, flags = self._wave_inputs(blocks, north_values, test4_mask)
+        south = self._wavefront(self._masks, self._loaded(), act, psum, flags)
+        return south, len(south) + cfg.rows + cfg.cols - 1
 
     def stream_lanes(
         self, lanes: FaultLanes, blocks, north_values=None, test4_mask=False
@@ -568,13 +551,10 @@ class TensorArray:
         Lane l sees the loaded weights and only its own fault; the faults
         injected into this array are not applied.  Returns results of shape
         (X, lanes.count, cols), where results[:, l] is what ``stream``
-        returns with lane l's fault alone injected.  Registers and the cycle
-        count are left untouched.
+        returns with lane l's fault alone injected.
         """
-        act, psum, flags = self._wave_inputs(blocks, north_values, test4_mask, bubbles=0)
-        south, _, _ = self._wavefront(
-            lanes.masks, self._loaded(), act[:, None], psum[:, None], flags
-        )
+        act, psum, flags = self._wave_inputs(blocks, north_values, test4_mask)
+        south = self._wavefront(lanes.masks, self._loaded(), act[:, None], psum[:, None], flags)
         return np.broadcast_to(south, (len(south), lanes.count, self.config.cols))
 
     def stream_tiles(
@@ -588,8 +568,8 @@ class TensorArray:
         faults injected into this array.  ``blocks`` is (X, tiles, rows, m),
         tile t's own input rows; north values and test-4 flags are shared.
         Returns results of shape (X, tiles, cols), where results[:, t] is
-        what ``stream`` returns with tile t loaded.  Registers and the cycle
-        count are left untouched, and no tile need be loaded.
+        what ``stream`` returns with tile t loaded; no tile need be loaded.
+        Entries are checked as ``SparseWeightTile`` checks a tile's.
         """
         cfg = self.config
         regs = np.asarray(values), np.asarray(indexes)
@@ -599,15 +579,14 @@ class TensorArray:
                     f"tile {name} must have shape (tiles, {cfg.rows}, {cfg.cols}, "
                     f"{cfg.n}), got {part.shape}"
                 )
-            if not np.issubdtype(part.dtype, np.integer):
-                raise ValueError(f"tile {name} must be integers, got dtype {part.dtype}")
         if regs[0].shape != regs[1].shape:
             raise ValueError(f"{len(regs[0])} tile values for {len(regs[1])} tile indexes")
+        check_entries(*regs, cfg.m, cfg.data_width)
+        regs = tuple(part.astype(np.int64, copy=False) for part in regs)
         act, psum, flags = self._wave_inputs(
-            blocks, north_values, test4_mask, bubbles=0, lead=regs[0].shape[:1]
+            blocks, north_values, test4_mask, lead=regs[0].shape[:1]
         )
-        south, _, _ = self._wavefront(self._masks, regs, act, psum[:, None], flags)
-        return south
+        return self._wavefront(self._masks, regs, act, psum[:, None], flags)
 
     def run_compute(self, a):
         """Stream the rows of ``a`` (X x rows*m) through the loaded weights.

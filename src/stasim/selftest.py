@@ -305,16 +305,15 @@ def run_session(
 ) -> TestReport:
     """Run the four-test session against the currently loaded tile.
 
-    The four vectors share one stream, but the array's cycle count grows by
-    two passes, ``4 + 2 * (rows + cols - 1)``: in hardware test 4's override
-    acts array-wide per cycle, so it waits for tests 1-3 to drain.  Occupancy
-    accounting is the driver's business: a session costs exactly four
-    initiation cycles there, since drain overlaps resumed streaming.
+    The four vectors share one pass of the wave engine, which writes no
+    register.  Its sums are those of the hardware's two passes (tests 1-3,
+    then test 4 under the array-wide override), since waves never interact.
+    Cycles are the driver's business: ``CycleStats`` charges a session
+    exactly four initiation cycles, since drain overlaps resumed streaming.
     """
     _check_session(array, golden)
     cfg = array.config
     raw, _ = array.stream(*_session_stream(cfg.rows, cfg.m))
-    array.cycles += cfg.rows + cfg.cols - 1
     compared = array.edge_compare(raw, golden.per_test)
     return _reports(raw[:, None], compared[:, None], golden, [tile_id])[0]
 
@@ -325,8 +324,7 @@ def stacked_sessions(array: TensorArray, values, indexes, tile_ids) -> list[Test
     ``values`` and ``indexes`` are (tiles, rows, cols, n) stacks of packed
     tiles, as ``TensorArray.stream_tiles`` takes them.  Report t, named
     ``tile_ids[t]``, is what ``run_session`` reports with tile t loaded into
-    ``array`` and the golden computed from it.  Registers and the cycle count
-    are left untouched, and no tile need be loaded.
+    ``array`` and the golden computed from it; no tile need be loaded.
     """
     cfg = array.config
     blocks, norths, flags = _session_stream(cfg.rows, cfg.m)
@@ -343,7 +341,7 @@ def lane_session(
 
     Returns (raw, compared), each (4, lanes.count, cols); lane l is what a
     session reports with only lane l's fault injected.  Nothing is
-    classified, and registers and the cycle count are left untouched.
+    classified.
     """
     _check_session(array, golden)
     cfg = array.config

@@ -33,6 +33,35 @@ def _check_packing(m: int, n: int, data_width: int) -> None:
         raise ValueError(f"tile data_width {data_width} outside supported 2..30")
 
 
+def check_entries(values: np.ndarray, indexes: np.ndarray, m: int, data_width: int) -> None:
+    """Reject packed tiles, (..., rows, cols, n), with an entry out of range.
+
+    Entries must be integers: indexes in 0..m-1, values in the signed
+    ``data_width`` range.  The message names the first bad entry as
+    ``tile [t] block (i, j) slot s``.
+    """
+    half = 1 << (data_width - 1)
+    named = (("indexes", indexes, 0, m - 1), ("values", values, -half, half - 1))
+    if all(
+        np.issubdtype(a.dtype, np.integer) and (a.size == 0 or lo <= a.min() and a.max() <= hi)
+        for _, a, lo, hi in named
+    ):
+        return  # whole-array bounds: no per-entry masks on the common path
+    bad_idx, bad_value = (outside_range(a, lo, hi) for _, a, lo, hi in named)
+    if (bad_idx | bad_value).any():
+        first = tuple(np.argwhere(bad_idx | bad_value)[0])
+        if bad_idx[first]:
+            problem = f"index {indexes[first].item()!r} not in 0..{m - 1}"
+        else:
+            problem = f"value {values[first].item()!r} not in {-half}..{half - 1}"
+        *stack, i, j, s = first
+        where = " ".join(["tile", *map(str, stack), f"block ({i}, {j}) slot {s}"])
+        raise ValueError(f"{where}: {problem}")
+    for name, a, _, _ in named:
+        if not np.issubdtype(a.dtype, np.integer):
+            raise ValueError(f"tile {name} must be integers, got dtype {a.dtype}")
+
+
 @dataclass(frozen=True, eq=False)
 class SparseWeightTile:
     """An R x C grid of packed blocks, ready to load into the array.
@@ -58,19 +87,8 @@ class SparseWeightTile:
                 f"tile values {vals.shape} and indexes {idxs.shape} must both "
                 f"have shape (rows, cols, n={self.n})"
             )
-        half = 1 << (self.data_width - 1)
-        bad_idx = outside_range(idxs, 0, self.m - 1)
-        bad = bad_idx | outside_range(vals, -half, half - 1)
-        if bad.any():
-            i, j, s = np.argwhere(bad)[0]
-            if bad_idx[i, j, s]:
-                problem = f"index {idxs[i, j, s].item()!r} not in 0..{self.m - 1}"
-            else:
-                problem = f"value {vals[i, j, s].item()!r} not in {-half}..{half - 1}"
-            raise ValueError(f"tile block ({i}, {j}) slot {s}: {problem}")
+        check_entries(vals, idxs, self.m, self.data_width)
         for name, arr in (("indexes", idxs), ("values", vals)):
-            if not np.issubdtype(arr.dtype, np.integer):
-                raise ValueError(f"tile {name} must be integers, got dtype {arr.dtype}")
             stored = arr.astype(np.int64)
             stored.flags.writeable = False
             object.__setattr__(self, name, stored)

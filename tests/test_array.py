@@ -1,12 +1,17 @@
 """Unit tests for the cycle-level array model and fault injection."""
 
+import re
+from dataclasses import asdict, replace
+
 import numpy as np
 import pytest
 
 from stasim.arith import Word, force_bit, wrap_signed
 from stasim.array import ArrayConfig, FaultLanes, FaultSite, RegClass, TensorArray
-from stasim.campaign import enumerate_faults
+from stasim.campaign import enumerate_faults, random_tiles, run_campaign
+from stasim.driver import Layer, Workload, tiled_matmul
 from stasim.sparsity import SparseWeightTile, densify, pack_tile
+from test_stream import assert_same_registers
 
 
 def single_tpe_tile(values, indexes, m=4, n=2, data_width=16):
@@ -62,6 +67,25 @@ def test_config_validation():
         ArrayConfig(mode="3:4", n=2)  # more active slots than exist
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("rows", 2.5), ("cols", "8"), ("m", 4.0), ("n", True), ("data_width", None)],
+)
+def test_config_rejects_non_integers(field, value):
+    message = rf"ArrayConfig {field} must be an integer, got {re.escape(repr(value))}"
+    with pytest.raises(ValueError, match=message):
+        ArrayConfig(**{field: value})
+
+
+def test_config_stores_numpy_integers_as_int():
+    default = asdict(ArrayConfig(rows=1, cols=1))
+    cfg = ArrayConfig(**{k: v if k == "mode" else np.int64(v) for k, v in default.items()})
+    assert cfg == ArrayConfig(rows=1, cols=1) and asdict(cfg) == default
+    assert all(type(v) is int for k, v in asdict(cfg).items() if k != "mode")
+    tiles = random_tiles(np.random.default_rng(7), cfg, 1)
+    run_campaign(tiles, cfg, faults=enumerate_faults(cfg)[:8]).to_json()
+
+
 # -- fault site validation ----------------------------------------------------
 
 
@@ -92,6 +116,32 @@ def test_fault_site_validation():
         FaultSite(RegClass.WEIGHT, 0, 0, 0, 0, 2).validate(cfg)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("row", 0.5),
+        ("col", "0"),
+        ("element", None),
+        ("bit", 3.0),
+        ("stuck", 1.0),
+        ("row", True),
+        ("col", False),
+        ("element", np.bool_(False)),
+        ("bit", True),
+    ],
+)
+def test_fault_site_rejects_non_integers(field, value):
+    cfg = ArrayConfig(rows=2, cols=2)
+    fault = replace(FaultSite(RegClass.WEIGHT, 0, 0, 0, 3, 1), **{field: value})
+    message = rf"FaultSite {field} must be an integer for weight, got {re.escape(repr(value))}"
+    checks = (lambda f: f.validate(cfg), TensorArray(cfg).inject, lambda f: FaultLanes(cfg, [f]))
+    for check in checks:
+        with pytest.raises(ValueError, match=message):
+            check(fault)
+    # NumPy integers index like ints, and a bool polarity is 0 or 1.
+    FaultSite(RegClass.WEIGHT, np.int64(1), 0, 0, np.uint8(3), True).validate(cfg)
+
+
 def test_fault_site_spec_string():
     site = FaultSite(RegClass.WEIGHT, 3, 5, 1, 7, 1)
     assert site.spec() == "weight:3:5:1:7:1"
@@ -104,7 +154,7 @@ def test_single_tpe_product():
     cfg = ArrayConfig(rows=1, cols=1)
     array = TensorArray(cfg)
     array.load_weights(single_tpe_tile([3, -2], [2, 0]))
-    assert array.cycles == 1  # one row to shift in
+    assert not array.registers()[RegClass.OUTPUT].any()  # loading clears it
 
     first = array.step(west_inputs=[[1, 2, 3, 4]], north_sums=[0])
     assert first.tolist() == [0]  # previous-cycle output register was clear
@@ -214,8 +264,16 @@ def test_load_cycle_count_and_state_reset():
     array = TensorArray(cfg)
     tile = random_tile(rng, cfg, magnitude=50)
     array.load_weights(tile)
-    assert array.cycles == cfg.rows
+    for _ in range(cfg.cols):
+        array.step(rng.integers(-5, 6, size=(cfg.rows, cfg.m)))
+    before = array.registers()
+    assert before[RegClass.OUTPUT].any() and before[RegClass.ACTIVATION].any()
     array.run_compute(rng.integers(-5, 6, size=(3, cfg.block_rows), dtype=np.int64))
+    assert_same_registers(array.registers(), before, "run_compute")
+    # Loading costs a cycle per grid row; the driver charges it.
+    layer = Layer(np.ones((3, cfg.block_rows), dtype=np.int64), densify(tile))
+    _, stats, _ = tiled_matmul(Workload([layer]), cfg)
+    assert stats.load_cycles == cfg.rows
     array.load_weights(tile)
     regs = array.registers()
     assert not regs[RegClass.OUTPUT].any()

@@ -20,7 +20,7 @@ from stasim.campaign import run_campaign
 from stasim.selftest import run_session
 from stasim.sparsity import SparseWeightTile
 from test_classify import scalar_classify, scalar_outcome
-from test_stream import configs
+from test_stream import assert_same_registers, configs
 
 
 def reference_evaluate(config, tiles, goldens, faults, verify_classification, harness):
@@ -115,8 +115,7 @@ def test_stream_lanes_match_one_fault_at_a_time(cfg, fault_count, blocks, seed):
     single.load_weights(tile)
     # Faults injected into the array itself do not reach the lanes.
     array.inject(faults[0])
-    cycles = array.cycles
-    regs = {cls: stored.copy() for cls, stored in array._regs.items()}
+    before = array.registers()
     d_hi, a_hi = 1 << (cfg.data_width - 1), 1 << (cfg.acc_width - 1)
     for x_rows, test4_mask in blocks:
         west = rng.integers(-2 * d_hi, 2 * d_hi, size=(x_rows, cfg.rows, cfg.m))
@@ -137,9 +136,7 @@ def test_stream_lanes_match_one_fault_at_a_time(cfg, fault_count, blocks, seed):
             assert np.array_equal(got[:, lane], want)
             want = single.edge_compare(raw[:, lane], gold[:, 0])
             assert np.array_equal(compared[:, lane], want)
-    assert array.cycles == cycles
-    for cls, stored in array._regs.items():
-        assert np.array_equal(stored, regs[cls])
+    assert_same_registers(array.registers(), before, "stream_lanes")
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

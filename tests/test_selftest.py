@@ -19,9 +19,10 @@ from stasim.selftest import (
     run_session,
     session_vectors,
     session_verdicts,
+    stacked_sessions,
 )
 from stasim.sparsity import SparseWeightTile, densify, pack_tile
-from test_stream import assert_same_state, stepped_stream
+from test_stream import assert_same_registers, stepped_stream
 
 
 def random_tile(rng, config, magnitude=None):
@@ -193,11 +194,11 @@ def test_session_is_non_destructive():
     ids=["clean", "activation", "index", "3x5-activation", "3x5-output"],
 )
 def test_session_leaves_the_two_pass_state(cfg, fault):
-    """A session costs two passes of cycles and leaves the stepper's registers.
+    """A session's raw sums are the stepper's over two passes, and the
+    session leaves the registers as it found them.
 
     The reference steps tests 1-3 as one pass, then test 4 under the
-    selection override as a second; a stuck-at-1 activation bit makes the
-    drained registers depend on the override.
+    selection override as a second.
     """
     tile = random_tile(np.random.default_rng(199), cfg)
     array, ref = TensorArray(cfg), TensorArray(cfg)
@@ -205,15 +206,49 @@ def test_session_leaves_the_two_pass_state(cfg, fault):
         if fault is not None:
             each.inject(fault)
         each.load_weights(tile)
-    before = array.cycles
+    before = array.registers()
     report = run_session(array, compute_golden(tile, cfg))
-    assert array.cycles - before == 4 + 2 * (cfg.rows + cfg.cols - 1)
+    assert_same_registers(array.registers(), before, "run_session")
 
     blocks = np.stack([np.tile(v, (cfg.rows, 1)) for v in session_vectors(cfg.m)])
     tests_1_3, _ = stepped_stream(ref, blocks[:3], EXPECTED_COMPARED[:3], False)
     test_4, _ = stepped_stream(ref, blocks[3:], EXPECTED_COMPARED[3:], True)
     assert report.raw == tuple(map(tuple, np.vstack([tests_1_3, test_4]).tolist()))
-    assert_same_state(array, ref)
+
+
+def test_passes_write_no_register():
+    """Every pass of the wave engine leaves the registers that steps latched."""
+    rng = np.random.default_rng(239)
+    cfg = ArrayConfig(rows=3, cols=5, m=3, n=2)
+    tile = random_tile(rng, cfg)
+    golden = compute_golden(tile, cfg)
+    lane_faults = [
+        FaultSite(RegClass.OUTPUT, 1, 4, 0, 2, 1),
+        FaultSite(RegClass.ACTIVATION, 0, 1, 2, 4, 0),
+    ]
+    lanes = FaultLanes(cfg, lane_faults)
+    array = TensorArray(cfg)
+    array.inject(FaultSite(RegClass.ACTIVATION, 2, 3, 1, 0, 1))
+    array.load_weights(tile)
+    for _ in range(cfg.cols):
+        west = rng.integers(-99, 100, size=(cfg.rows, cfg.m))
+        array.step(west, rng.integers(-99, 100, size=cfg.cols))
+    before = array.registers()
+    assert before[RegClass.ACTIVATION].any() and before[RegClass.OUTPUT].any()
+    blocks = rng.integers(-99, 100, size=(6, cfg.rows, cfg.m))
+    stack = tile.values[None], tile.indexes[None]
+    passes = {
+        "stream": lambda: array.stream(blocks, test4_mask=True),
+        "run_compute": lambda: array.run_compute(blocks.reshape(6, cfg.block_rows)),
+        "run_session": lambda: run_session(array, golden),
+        "stream_tiles": lambda: array.stream_tiles(*stack, blocks[:, None]),
+        "stream_lanes": lambda: array.stream_lanes(lanes, blocks),
+        "stacked_sessions": lambda: stacked_sessions(array, *stack, ["t0"]),
+        "lane_session": lambda: lane_session(array, golden, lanes),
+    }
+    for name, run in passes.items():
+        run()
+        assert_same_registers(array.registers(), before, name)
 
 
 def test_session_preconditions():

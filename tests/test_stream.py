@@ -75,12 +75,11 @@ def random_fault(rng, cfg, cls):
     return FaultSite(cls, row, col, element, bit, int(rng.integers(0, 2)))
 
 
-def assert_same_state(wave, ref):
-    assert wave.cycles == ref.cycles
-    got, want = wave.registers(), ref.registers()
+def assert_same_registers(got, want, context=""):
+    """Two ``registers()`` read-backs hold the same register files."""
     assert got.keys() == want.keys()
     for cls in want:
-        assert np.array_equal(got[cls], want[cls]), cls
+        assert np.array_equal(got[cls], want[cls]), (context, cls)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -121,7 +120,7 @@ def test_wave_stream_matches_stepper(cfg, fault_classes, streams, warmup_steps, 
         north = rng.integers(a_lo, a_hi, size=cfg.cols)
         wave.step(west, north)
         ref.step(west, north)
-    assert_same_state(wave, ref)
+    assert_same_registers(wave.registers(), ref.registers())
 
     for x_rows, with_norths, test4_mask in streams:
         # One bit wider than the registers: both engines wrap their inputs.
@@ -131,24 +130,24 @@ def test_wave_stream_matches_stepper(cfg, fault_classes, streams, warmup_steps, 
             if with_norths
             else np.zeros(x_rows, dtype=np.int64)
         )
-        want_rows, last = None, test4_mask
         if test4_mask == "rows":
             # Waves never interact: each row gives what a whole stream under
-            # its flag gives, and the drained registers are the last flag's.
+            # its flag gives.
             test4_mask = rng.integers(0, 2, size=x_rows).astype(bool)
-            off, on = (stepped_stream(copy.deepcopy(ref), blocks, norths, f)[0] for f in (0, 1))
-            want_rows = np.where(test4_mask[:, None], on, off)
-            last = x_rows > 0 and bool(test4_mask[-1])
+            (off, want_cycles), (on, _) = (
+                stepped_stream(copy.deepcopy(ref), blocks, norths, f) for f in (0, 1)
+            )
+            want = np.where(test4_mask[:, None], on, off)
+        else:
+            want, want_cycles = stepped_stream(ref, blocks, norths, test4_mask)
+        before = wave.registers()
         got, got_cycles = wave.stream(
             blocks, norths if with_norths else None, test4_mask=test4_mask
         )
-        want, want_cycles = stepped_stream(ref, blocks, norths, last)
-        if want_rows is not None:
-            want = want_rows
         assert got.shape == want.shape == (x_rows, cfg.cols)
         assert np.array_equal(got, want)
         assert got_cycles == want_cycles == x_rows + cfg.rows + cfg.cols - 1
-        assert_same_state(wave, ref)
+        assert_same_registers(wave.registers(), before, "stream")
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -184,13 +183,15 @@ def test_stacked_tiles_match_one_stream_per_tile(
     norths = rng.integers(2 * a_lo, 2 * a_hi, size=x_rows)
     if test4_mask == "rows":
         test4_mask = rng.integers(0, 2, size=x_rows).astype(bool)
+    before = stacked.registers()
     got = stacked.stream_tiles(values, indexes, blocks, norths, test4_mask)
     assert got.shape == (x_rows, tiles, cfg.cols)
+    assert_same_registers(stacked.registers(), before, "stream_tiles")
     for t, tile in enumerate(stack):
         single.load_weights(tile)
         want, _ = single.stream(blocks[:, t], norths, test4_mask)
         assert np.array_equal(got[:, t], want)
-    assert stacked.cycles == 0 and not stacked.weights_loaded
+    assert not stacked.weights_loaded
 
 
 def test_stacked_tiles_reject_bad_shapes():
@@ -199,7 +200,14 @@ def test_stacked_tiles_reject_bad_shapes():
     regs = np.zeros((2, 2, 3, cfg.n), dtype=np.int64)
     blocks = np.zeros((5, 2, 2, cfg.m), dtype=np.int64)
     assert array.stream_tiles(regs, regs, blocks).shape == (5, 2, 3)
+    assert array.stream_tiles(*[regs.astype(np.uint8)] * 2, blocks).shape == (5, 2, 3)
+    # Entries get the tile check of ``SparseWeightTile``, located by tile.
+    high, wide = regs.copy(), regs.copy()
+    high[1, 0, 2, 1], wide[1, 1, 1, 0] = 9, 1 << 40
     for values, indexes, bad in [
+        (regs, high, r"tile 1 block \(0, 2\) slot 1: index 9 not in 0\.\.3"),
+        (regs, regs - 1, r"tile 0 block \(0, 0\) slot 0: index -1 not in 0\.\.3"),
+        (wide, regs, r"tile 1 block \(1, 1\) slot 0: value 1099511627776 not in -32768\.\."),
         (regs[0], regs[0], r"tile values must have shape \(tiles, 2, 3, 2\), got \(2, 3, 2\)"),
         (regs, regs[:1], r"2 tile values for 1 tile indexes"),
         (regs, regs.astype(float), r"tile indexes must be integers"),
@@ -207,3 +215,4 @@ def test_stacked_tiles_reject_bad_shapes():
     ]:
         with pytest.raises(ValueError, match=bad):
             array.stream_tiles(values, indexes, blocks)
+
