@@ -17,11 +17,11 @@ from stasim.arith import (
 )
 from stasim.array import (
     ArrayConfig,
-    FaultLanes,
     FaultSite,
     RegClass,
     RegSpec,
     TensorArray,
+    fault_sites,
 )
 from stasim.campaign import (
     CoverageReport,
@@ -45,7 +45,7 @@ from stasim.selftest import (
     VerdictKind,
     classify,
     compute_golden,
-    lane_session,
+    fault_sessions,
     locate_activation,
     run_session,
     session_vectors,
@@ -68,7 +68,6 @@ __all__ = [
     "ArrayConfig",
     "CoverageReport",
     "CycleStats",
-    "FaultLanes",
     "FaultSite",
     "GoldenReference",
     "Layer",
@@ -87,9 +86,10 @@ __all__ = [
     "compute_golden",
     "densify",
     "enumerate_faults",
+    "fault_sessions",
+    "fault_sites",
     "force_bit",
     "is_bitwise_complement",
-    "lane_session",
     "locate_activation",
     "overhead_report",
     "pack_tile",

@@ -23,12 +23,11 @@ set per wave, which lets a whole self-test session run as one stream.  A pass
 writes no register: ``step``, the one clocked model, latches what
 ``registers()`` reads back and is the reference the passes are tested against.
 
-The same wave engine carries an optional axis after the waves, in one of two
-uses.  ``stream_lanes`` evaluates a batch of single faults in one pass, lane l
-seeing only fault l (parallel-pattern single-fault propagation), which is what
-campaigns run on.  ``stream_tiles`` streams a stack of packed tiles in one
-pass, tile t standing in for the loaded weights, which is what the tiled
-driver runs on.  ``LANE_BUDGET`` bounds how many lanes or tiles share a pass.
+``stream_tiles`` streams a stack of packed tiles in one pass, tile t standing
+in for the loaded weights, which is what the tiled driver runs on.  Campaigns
+run on ``stream_faults`` instead: it derives every single fault's sums in
+closed form from one fault-free pass (differential fault simulation).
+Callers cut their input to ``per_pass`` tiles or ``per_step`` faults a call.
 """
 
 from __future__ import annotations
@@ -37,17 +36,17 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
 from numbers import Integral
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from stasim.arith import check_signed_range, wrap_signed
 from stasim.sparsity import SparseWeightTile, check_entries, pack_tile
 
-#: Elements (lanes or tiles x waves x rows x cols x m) one pass of the wave
-#: engine may hold in each of its temporaries.  It sets how many fault lanes
-#: or stacked tiles share a pass, and so bounds memory whatever the array
-#: size, fault count or layer size.
+#: Elements a temporary may hold: tiles x waves x rows x cols x m in a pass of
+#: the wave engine, waves x faults x cols in a ``stream_faults`` call on one
+#: tile.  ``per_pass`` and ``per_step`` size the passes and calls by it, which
+#: bounds memory whatever the array size, fault count or layer size.
 LANE_BUDGET = 1 << 15
 
 
@@ -158,11 +157,15 @@ class ArrayConfig:
         }
 
     def per_pass(self, waves: int) -> int:
-        """Fault lanes or stacked tiles a pass of ``waves`` waves may carry.
+        """Stacked tiles a pass of ``waves`` waves of the wave engine may carry.
 
         At least one, whatever ``LANE_BUDGET`` allows.
         """
         return max(1, LANE_BUDGET // (max(waves, 1) * self.rows * self.cols * self.m))
+
+    def per_step(self, waves: int) -> int:
+        """Faults a ``stream_faults`` call over ``waves`` waves of one tile may carry (>= 1)."""
+        return max(1, LANE_BUDGET // (max(waves, 1) * self.cols))
 
     def pack(self, dense) -> SparseWeightTile:
         """Prune and pack a dense weight matrix for this array.
@@ -219,8 +222,10 @@ class FaultSite:
     stuck: int
 
     def validate(self, config: ArrayConfig) -> None:
-        """Reject a field that is not an integer in its range (a bool only as ``stuck``)."""
+        """Reject a non-``RegClass`` class, or a field not an integer in its range."""
         cls = self.reg_class
+        if not isinstance(cls, RegClass):
+            raise ValueError(f"FaultSite reg_class must be a RegClass member, got {cls!r}")
         spec = config.reg_specs[cls]
         limits = spec.shape + (spec.width, 2)
         for name, limit in zip(("row", "col", "element", "bit", "stuck"), limits):
@@ -256,19 +261,14 @@ class FaultSite:
         )
 
 
-def _identity_masks(shape) -> tuple[np.ndarray, np.ndarray]:
-    return np.full(shape, -1, dtype=np.int64), np.zeros(shape, dtype=np.int64)
-
-
 def _masked(masks, cls: RegClass, values: np.ndarray, at=...) -> np.ndarray:
     """``values`` read as if latched in cells ``at`` of ``cls``, through ``masks``.
 
     ``masks`` maps faulted classes to (and_mask, or_mask) pairs shaped like
-    the register file, optionally with a leading lane axis; ``at`` indexes
-    the trailing (rows, cols, elements) dimensions.  Data and accumulator
-    registers hold signed words; position-index registers hold unsigned
-    patterns, so a forced index can point past the block (selecting
-    nothing) but never goes negative.
+    the register file; ``at`` indexes the trailing (rows, cols, elements)
+    dimensions.  Data and accumulator registers hold signed words;
+    position-index registers hold unsigned patterns, so a forced index can
+    point past the block (selecting nothing) but never goes negative.
     """
     pair = masks.get(cls)
     if pair is None:
@@ -277,42 +277,37 @@ def _masked(masks, cls: RegClass, values: np.ndarray, at=...) -> np.ndarray:
     return (values & and_mask[at]) | or_mask[at]
 
 
-class FaultLanes:
-    """A batch of single-fault lanes for the wave engine.
+def fault_sites(config: ArrayConfig, faults: Optional[Sequence[FaultSite]] = None) -> np.ndarray:
+    """The (faults, 6) table of single faults that ``TensorArray.stream_faults`` takes.
 
-    Lane l carries exactly ``faults[l]``, validated once and kept as row l of
-    ``sites``: ``CLASS_CODE``, row, col, element and
-    ``FaultSite.mask_bits``; ``take`` cuts sub-batches.  ``masks`` maps each
-    faulted class to (and_mask, or_mask) arrays shaped (count, *spec.shape),
-    the identity in every other lane; unfaulted classes are absent.
+    Row f is fault f's ``CLASS_CODE``, row, col, element and ``mask_bits``.
+    ``faults=None`` is every fault of ``config`` in ``enumerate_faults``
+    order, made without ``FaultSite`` objects.  A list is checked as arrays,
+    or by ``FaultSite.validate`` (naming a bad field) if not all plain ints.
     """
-
-    def __init__(self, config: ArrayConfig, faults: Sequence[FaultSite]):
-        sites = []
-        for fault in faults:
-            fault.validate(config)
-            cell = (CLASS_CODE[fault.reg_class], fault.row, fault.col, fault.element)
-            sites.append(cell + fault.mask_bits(config))
-        self.config, self.count = config, len(faults)
-        self.sites = np.array(sites, dtype=np.int64).reshape(-1, 6)
-
-    def take(self, lanes) -> "FaultLanes":
-        """The lanes at positions ``lanes`` of this batch, in that order."""
-        part = FaultLanes(self.config, ())
-        part.sites, part.count = self.sites[lanes], len(lanes)
-        return part
-
-    @cached_property
-    def masks(self) -> dict[RegClass, tuple[np.ndarray, np.ndarray]]:
-        masks = {}
-        for cls, code in CLASS_CODE.items():
-            (lanes,) = np.nonzero(self.sites[:, 0] == code)
-            if len(lanes):
-                _, *cell, and_bits, or_bits = self.sites[lanes].T
-                shape = (self.count,) + self.config.reg_specs[cls].shape
-                and_mask, or_mask = masks[cls] = _identity_masks(shape)
-                and_mask[(lanes, *cell)], or_mask[(lanes, *cell)] = and_bits, or_bits
-        return masks
+    specs = config.reg_specs.values()
+    if faults is None:
+        fields = np.hstack([
+            np.insert(np.indices(spec.shape + (spec.width, 2)).reshape(5, -1), 0, code, 0)
+            for code, spec in enumerate(specs)
+        ]).T
+    else:
+        cells = [(f.reg_class, f.row, f.col, f.element, f.bit, f.stuck) for f in faults]
+        limits = np.array([spec.shape + (spec.width, 2) for spec in specs])
+        try:
+            fields = np.array([(CLASS_CODE[c], *f) for c, *f in cells], np.int64).reshape(-1, 6)
+            plain = {tuple(map(type, cell)) for cell in cells} <= {(RegClass,) + (int,) * 5}
+        except (KeyError, OverflowError, TypeError, ValueError):
+            plain = False
+        if not plain or ((fields[:, 1:] < 0) | (fields[:, 1:] >= limits[fields[:, 0]])).any():
+            for fault in faults:  # names the first bad field, or passes them all
+                fault.validate(config)
+    code, row, col, element, bit, stuck = fields.T
+    width, signed = np.array([(spec.width, spec.signed) for spec in specs])[code].T
+    # ``mask_bits``'s rule: a stuck sign bit forces its sign extension too.
+    bits = np.where(signed & (bit == width - 1), np.left_shift(-1, bit), np.left_shift(1, bit))
+    and_bits, or_bits = np.where(stuck, -1, ~bits), np.where(stuck, bits, 0)
+    return np.stack([code, row, col, element, and_bits, or_bits], axis=1)
 
 
 class TensorArray:
@@ -347,7 +342,7 @@ class TensorArray:
         fault.validate(self.config)
         if fault.reg_class not in self._masks:
             shape = self.config.reg_specs[fault.reg_class].shape
-            self._masks[fault.reg_class] = _identity_masks(shape)
+            self._masks[fault.reg_class] = np.full(shape, -1, np.int64), np.zeros(shape, np.int64)
         and_mask, or_mask = self._masks[fault.reg_class]
         and_bits, or_bits = fault.mask_bits(self.config)
         cell = (fault.row, fault.col, fault.element)
@@ -507,15 +502,14 @@ class TensorArray:
         ``psum`` (waves, ..., 1) the north values and ``regs`` the (weights,
         indexes) register files, (rows, cols, n) or stacked as (tiles, rows,
         cols, n); ``masks`` are read as ``_masked`` reads them.  An axis of
-        size 1 after the waves spreads to the masks' lane axis, or to the
-        tile axis of stacked registers.  Returns the south sums; no register
-        is written.
+        size 1 after the waves spreads to the tile axis of stacked
+        registers.  Returns the south sums; no register is written.
         """
         cfg = self.config
         for j in range(cfg.cols):
             # The hop east reads this column's register, stuck bits included.
             act = _masked(masks, RegClass.ACTIVATION, act, np.s_[..., j, :])
-            if j == 0:  # the first read fixes the lane axis
+            if j == 0:  # the first read fixes the tile axis
                 seen = np.empty(act.shape[:-1] + (cfg.cols, cfg.m), dtype=np.int64)
             seen[..., j, :] = act
         contrib = self._multiply(masks, regs, seen, test4_mask)
@@ -542,20 +536,6 @@ class TensorArray:
         act, psum, flags = self._wave_inputs(blocks, north_values, test4_mask)
         south = self._wavefront(self._masks, self._loaded(), act, psum, flags)
         return south, len(south) + cfg.rows + cfg.cols - 1
-
-    def stream_lanes(
-        self, lanes: FaultLanes, blocks, north_values=None, test4_mask=False
-    ) -> np.ndarray:
-        """``stream`` once per fault lane, in one pass of the wave engine.
-
-        Lane l sees the loaded weights and only its own fault; the faults
-        injected into this array are not applied.  Returns results of shape
-        (X, lanes.count, cols), where results[:, l] is what ``stream``
-        returns with lane l's fault alone injected.
-        """
-        act, psum, flags = self._wave_inputs(blocks, north_values, test4_mask)
-        south = self._wavefront(lanes.masks, self._loaded(), act[:, None], psum[:, None], flags)
-        return np.broadcast_to(south, (len(south), lanes.count, self.config.cols))
 
     def stream_tiles(
         self, values, indexes, blocks, north_values=None, test4_mask=False
@@ -587,6 +567,76 @@ class TensorArray:
             blocks, north_values, test4_mask, lead=regs[0].shape[:1]
         )
         return self._wavefront(self._masks, regs, act, psum[:, None], flags)
+
+    def stream_faults(
+        self, sites, values, indexes, blocks, north_values=None, test4_mask=False
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``stream_tiles`` fault-free and once per fault of a ``fault_sites`` table.
+
+        Returns clean (X, tiles, cols) and sums (X, tiles, faults, cols), where
+        sums[:, t, f] is ``stream`` on tile t with fault f alone injected.  Below
+        a faulted cell the datapath only adds modulo 2**acc_width, so the
+        fault-free per-element weights PE and row prefix sums P give each sum:
+        an activation fault adds (a' - a) * PE from its column east; a weight or
+        index fault on an active slot, its product's change (an index not on
+        test-4 waves, one past the block selecting 0); an output fault at row r
+        gives mask(P[r]) + P[last] - P[r]; an edge fault, nothing.  Several
+        faults at once stay on the wave engine.  Callers cut tables into calls
+        of ``ArrayConfig.per_step`` faults.
+        """
+        cfg = self.config
+        values, indexes = np.asarray(values), np.asarray(indexes)
+        want = (cfg.rows, cfg.cols, cfg.n)
+        if values.shape != indexes.shape or values.shape[1:] != want:
+            raise ValueError(f"tile values {values.shape}, indexes {indexes.shape}: need {want}")
+        check_entries(values, indexes, cfg.m, cfg.data_width)
+        values, indexes = values.astype(np.int64), indexes.astype(np.int64)
+        act, psum, flags = self._wave_inputs(blocks, north_values, test4_mask, values.shape[:1])
+        x_rows, tiles, k, m = len(act), len(values), cfg.active_slots, cfg.m
+        # Selections (tiles, rows, cols, n) and per-element weights (tiles,
+        # rows, m, cols) without and with the test-4 override, then per wave.
+        sel = np.stack([indexes, np.broadcast_to(self._forced_sel, indexes.shape)])
+        pe = (values[..., :k, None] * (sel[..., :k, None] == np.arange(m))).sum(-2)
+        forced = np.broadcast_to(flags, (x_rows,)).astype(np.intp)
+        sel, pe, forced = sel[forced], pe.swapaxes(-1, -2)[forced], forced[:, None, None]
+        prefix = np.cumsum(np.einsum("xtrm,xtrmc->xtrc", act, pe), axis=2)
+        prefix = wrap_signed(psum[:, :, None, None] + prefix, cfg.acc_width)
+        clean = prefix[:, :, -1]
+
+        code, row, col, element, and_bits, or_bits = sites.T
+        waves, tile_ids = np.arange(x_rows)[:, None, None], np.arange(tiles)[:, None]
+
+        def read(words, ids):  # stuck bits forced onto (..., faults) words
+            return (words & and_bits[ids]) | or_bits[ids]
+
+        def product(r, weight, chosen):  # (X, tiles, faults), a chosen index past m picks 0
+            picked = act[waves, tile_ids, r, np.minimum(chosen, m - 1)]
+            return weight * np.where(chosen < m, picked, 0)
+
+        sums = np.repeat(clean[:, :, None], len(sites), axis=2)
+        for cls in list(RegClass)[:-1]:  # an edge fault changes no sum
+            ids = np.flatnonzero(code == CLASS_CODE[cls])
+            if cls in (RegClass.WEIGHT, RegClass.WEIGHT_INDEX):
+                ids = ids[element[ids] < k]  # a gated slot changes nothing
+            if not len(ids):
+                continue
+            r, c, e = row[ids], col[ids], element[ids]
+            if cls is RegClass.ACTIVATION:
+                before, spread = act[:, :, r, e], np.arange(cfg.cols) >= c[:, None]
+                delta = (read(before, ids) - before)[..., None] * spread * pe[:, :, r, e]
+                c = slice(None)  # every column, the ones west of the fault adding 0
+            elif cls is RegClass.OUTPUT:
+                before = prefix[:, :, r, c]
+                delta = read(before, ids) - before
+            else:
+                weight, chosen = values[:, r, c, e], sel[:, :, r, c, e]
+                if cls is RegClass.WEIGHT:
+                    after = read(weight, ids), chosen
+                else:
+                    after = weight, np.where(forced, chosen, read(chosen, ids))
+                delta = product(r, *after) - product(r, weight, chosen)
+            sums[:, :, ids, c] += delta
+        return clean, wrap_signed(sums, cfg.acc_width)
 
     def run_compute(self, a):
         """Stream the rows of ``a`` (X x rows*m) through the loaded weights.
@@ -622,20 +672,9 @@ class TensorArray:
         shape_ok = raw.ndim in (1, 2, 3) and raw.size and raw.shape[-1] == cfg.cols
         if not shape_ok or np.shape(golden) != raw.shape:
             raise ValueError(f"edge comparison needs {cfg.cols} values per side and test")
-        return self._edge_sum(self._masks, raw, golden)
-
-    def edge_compare_lanes(self, lanes: FaultLanes, raw_sums, golden) -> np.ndarray:
-        """``edge_compare`` once per fault lane.
-
-        ``raw_sums`` (..., lanes.count, cols) pass through each lane's own
-        edge accumulators; ``golden`` broadcasts against them.
-        """
-        return self._edge_sum(lanes.masks, raw_sums, golden)
-
-    def _edge_sum(self, masks, raw_sums, golden) -> np.ndarray:
-        acc = self.config.acc_width
-        raw = wrap_signed(np.asarray(raw_sums, dtype=np.int64), acc)
-        edge = _masked(masks, RegClass.EDGE_ACCUMULATOR, raw, np.s_[..., 0, :, 0])
+        acc = cfg.acc_width
+        raw = wrap_signed(raw, acc)
+        edge = _masked(self._masks, RegClass.EDGE_ACCUMULATOR, raw, np.s_[..., 0, :, 0])
         return wrap_signed(edge + wrap_signed(np.asarray(golden, dtype=np.int64), acc), acc)
 
     def registers(self) -> dict[RegClass, np.ndarray]:

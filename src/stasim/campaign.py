@@ -10,14 +10,11 @@ Optionally the campaign checks, per detected fault, that the session verdict
 names the injected register class, and, per undetected fault, whether the
 fault is actually harmless (bit-identical matmul results on random inputs).
 
-Faults are evaluated in fault lanes (parallel-pattern single-fault
-propagation): a chunk of faults, one per lane, shares each pass of the wave
-engine, detected lanes drop out after every tile and only the survivors go
-on to the next one.  Each fault is validated and turned into its mask words
-once per campaign; one ``classify`` call judges every lane a chunk's session
-detects.  Everything runs in the calling process; there is no worker pool.
-Outcomes fill one integer table by lane id, a row per fault, and the report
-counts it with ``np.bincount`` by register class and by detection tile.
+Faults are one ``fault_sites`` table.  Per tile, one fault-free pass gives
+the session sums of every fault still undetected in closed form
+(``fault_sessions``), and one ``classify`` call judges those it detects.  All
+runs in the calling process.  Outcomes fill one integer table, a row per
+fault, which the report counts with ``np.bincount``.
 """
 
 from __future__ import annotations
@@ -29,7 +26,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from stasim.array import CLASS_CODE, ArrayConfig, FaultLanes, FaultSite, RegClass, TensorArray
+from stasim.array import CLASS_CODE, ArrayConfig, FaultSite, RegClass, TensorArray, fault_sites
 from stasim.selftest import (
     EXPECTED_COMPARED,
     VERDICT_KINDS,
@@ -37,7 +34,7 @@ from stasim.selftest import (
     VerdictKind,
     classify,
     compute_golden,
-    lane_session,
+    fault_sessions,
 )
 from stasim.sparsity import SparseWeightTile
 
@@ -94,10 +91,10 @@ _NAMING_CODES = np.array([VERDICT_KINDS.index(_NAMING_VERDICT[cls]) for cls in R
 
 
 def _classification_outcome(sites: np.ndarray, failed, kinds, windows):
-    """Per lane, 1 if the verdict named the injected class, 0 if not, -1 if unchecked.
+    """Per fault, 1 if the verdict named the injected class, 0 if not, -1 if unchecked.
 
-    Lane l ran with the fault of ``FaultLanes`` site ``sites[l]`` alone;
-    ``failed`` (4, lanes) flags the tests its session failed, and ``kinds``
+    Session f ran with the fault of ``fault_sites`` row ``sites[f]`` alone;
+    ``failed`` (4, faults) flags the tests it failed, and ``kinds``
     and ``windows`` are the session's ``classify`` output.  Weight, output and
     edge-accumulator faults must be named at the injected column.  Index
     faults are only checked when test 3 alone flagged them, activation
@@ -120,89 +117,49 @@ def _classification_outcome(sites: np.ndarray, failed, kinds, windows):
     return np.where(checked, correct, -1)
 
 
-def _harmless_harness(
-    tiles: Sequence[SparseWeightTile], config: ArrayConfig, seed: int
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Per tile: ``HARMLESS_ROWS`` random activation blocks and their fault-free outputs.
-
-    The rows run as one stream, since streamed rows never interact.
-    """
-    rng = np.random.default_rng(seed)
-    lo, hi = -(1 << (config.data_width - 1)), 1 << (config.data_width - 1)
-    shape = (HARMLESS_ROWS, config.rows, config.m)
-    stacks = [rng.integers(lo, hi, size=shape, dtype=np.int64) for _ in tiles]
-    array = TensorArray(config)
-    clean = []
-    for tile, stack in zip(tiles, stacks):
-        array.load_weights(tile)
-        out, _ = array.stream(stack)
-        clean.append(out)
-    return stacks, clean
-
-
-def _sweep(array, tiles, universe: FaultLanes, ids, waves, settle) -> list[int]:
-    """Walk lanes ``ids`` of ``universe`` through ``tiles``.
-
-    Per tile, the lanes still live are cut into chunks of as many lanes as
-    ``ArrayConfig.per_pass`` allows for passes of ``waves`` waves, and
-    ``settle(tile index, lanes, lane ids)`` returns one flag per lane of a
-    chunk: flagged lanes drop out, the rest go on to the next tile.  Returns
-    the ids no tile settled, in order.
-    """
-    per_pass = array.config.per_pass(waves)
-    live = np.asarray(ids, dtype=np.int64)
-    for ti, tile in enumerate(tiles):
-        if not len(live):
-            break
-        array.load_weights(tile)
-        left = []
-        for start in range(0, len(live), per_pass):
-            chunk = live[start : start + per_pass]
-            left.append(chunk[~settle(ti, universe.take(chunk), chunk)])
-        live = np.concatenate(left)
-    return live.tolist()
-
-
 def _evaluate_faults(
     tiles: Sequence[SparseWeightTile],
     goldens: Sequence[GoldenReference],
-    universe: FaultLanes,
+    sites: np.ndarray,
     verify_classification: bool,
-    harness: Optional[tuple[list[np.ndarray], list[np.ndarray]]],
+    harness: Optional[np.ndarray],
 ) -> np.ndarray:
-    """The outcome table, one row per ``universe`` lane, -1 where unknown.
+    """The outcome table, one row per fault of ``sites``, -1 where unknown.
 
-    Columns: detection tile, then the classification-ok and harmless flags (0/1).
+    Columns: detection tile, then the classification-ok and harmless flags
+    (0/1).  Tile by tile, a fault drops out of the detection walk when a
+    session flags it, and out of the harness walk when its results change.
+    Each tile's faults go in calls of ``ArrayConfig.per_step`` faults.
     """
-    array = TensorArray(universe.config)
-    table = np.full((universe.count, 3), -1, dtype=np.int64)
+    array = TensorArray(goldens[0].config)
+    regs = np.array([(tile.values, tile.indexes) for tile in tiles]).swapaxes(0, 1)
+    table = np.full((len(sites), 3), -1, dtype=np.int64)
     detected_tile, classification_ok, harmless = table.T
-    expected = np.array(EXPECTED_COMPARED, dtype=np.int64)[:, None, None]
 
-    def detect(ti, lanes, live):
-        raw, compared = lane_session(array, goldens[ti], lanes)
-        failed = (compared != expected).any(axis=2)
-        hits = failed.any(axis=0)
-        detected_tile[live[hits]] = ti
-        if verify_classification and hits.any():
-            kinds, windows = classify(raw[:, hits], compared[:, hits], goldens[ti])
-            classification_ok[live[hits]] = _classification_outcome(
-                lanes.sites[hits], failed[:, hits], kinds, windows
-            )
-        return hits
-
-    # Budgeted on the session's four test vectors.
-    undetected = _sweep(array, tiles, universe, range(universe.count), 4, detect)
+    live, step = np.arange(len(sites)), array.config.per_step(4)  # a session is 4 waves
+    for ti, golden in enumerate(goldens):
+        if not len(live):
+            break
+        for ids in np.split(live, range(step, len(live), step)):
+            raw, compared = (s[:, 0] for s in fault_sessions(array, sites[ids], *regs[:, [ti]]))
+            failed = (compared != np.reshape(EXPECTED_COMPARED, (4, 1, 1))).any(axis=2)
+            hits = failed.any(axis=0)
+            detected_tile[ids[hits]] = ti
+            if verify_classification and hits.any():
+                kinds, windows = classify(raw[:, hits], compared[:, hits], golden)
+                classification_ok[ids[hits]] = _classification_outcome(
+                    sites[ids[hits]], failed[:, hits], kinds, windows
+                )
+        live = live[detected_tile[live] < 0]
 
     if harness is not None:
-        stacks, clean = harness
-
-        def differs(ti, lanes, live):
-            got = array.stream_lanes(lanes, stacks[ti])
-            return (got != clean[ti][:, None]).any(axis=(0, 2))
-
-        harmless[undetected] = 0
-        harmless[_sweep(array, tiles, universe, undetected, len(stacks[0]), differs)] = 1
+        harmless[live] = 1
+        step = array.config.per_step(len(harness))
+        for ti in range(len(tiles)):
+            for ids in np.split(live, range(step, len(live), step)):
+                clean, got = array.stream_faults(sites[ids], *regs[:, [ti]], harness[:, [ti]])
+                harmless[ids[(got != clean[:, :, None]).any(axis=(0, 1, 3))]] = 0
+            live = live[harmless[live] == 1]
     return table
 
 
@@ -273,17 +230,21 @@ def run_campaign(
         raise ValueError(f"jobs {jobs} must be at least 1")
     if not tiles:
         raise ValueError("campaign needs at least one weight tile")
-    universe = FaultLanes(config, list(enumerate_faults(config) if faults is None else faults))
+    sites = fault_sites(config, faults)
     goldens = [compute_golden(tile, config) for tile in tiles]
-    harness = _harmless_harness(tiles, config, seed) if check_harmless else None
+    harness = None
+    if check_harmless:  # per tile, HARMLESS_ROWS random activation blocks as one stream
+        rng, half = np.random.default_rng(seed), 1 << (config.data_width - 1)
+        shape = (HARMLESS_ROWS, config.rows, config.m)
+        harness = np.stack([rng.integers(-half, half, shape, np.int64) for _ in tiles], axis=1)
 
     detected_tile, classification_ok, harmless = _evaluate_faults(
-        tiles, goldens, universe, verify_classification, harness
+        tiles, goldens, sites, verify_classification, harness
     ).T
 
     detected = detected_tile >= 0
     counts = {
-        name: np.bincount(universe.sites[rows, 0], minlength=len(RegClass)).tolist()
+        name: np.bincount(sites[rows, 0], minlength=len(RegClass)).tolist()
         for name, rows in (
             ("total", slice(None)),
             ("detected", detected),
@@ -297,11 +258,11 @@ def run_campaign(
         for cls, code in CLASS_CODE.items()
     }
     by_tile = np.bincount(detected_tile[detected], minlength=len(tiles))
-    curve = np.cumsum(by_tile) / universe.count if universe.count else []
+    curve = np.cumsum(by_tile) / len(sites) if len(sites) else []
     return CoverageReport(
         config=config,
         tiles=len(tiles),
-        total_faults=universe.count,
+        total_faults=len(sites),
         detected=int(detected.sum()),
         per_class=per_class,
         cumulative_curve=list(map(float, curve)),

@@ -23,7 +23,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from stasim.arith import mask_of, wrap_signed
-from stasim.array import ArrayConfig, FaultLanes, TensorArray
+from stasim.array import CLASS_CODE, ArrayConfig, RegClass, TensorArray
 from stasim.sparsity import SparseWeightTile
 
 #: Column sums a healthy array produces after golden addition, per test.
@@ -260,19 +260,6 @@ def _session_stream(rows: int, m: int) -> tuple[np.ndarray, ...]:
     return stream
 
 
-def _check_session(array: TensorArray, golden: GoldenReference) -> None:
-    if not array.weights_loaded:
-        raise RuntimeError("load a weight tile before running a self-test session")
-    if golden.config != array.config:
-        want, got = asdict(array.config), asdict(golden.config)
-        wrong = "; ".join(f"{k} {got[k]!r}, not {v!r}" for k, v in want.items() if got[k] != v)
-        raise ValueError(f"golden reference computed for another array: {wrong}")
-    if golden.per_test.ndim != 2:
-        raise ValueError(
-            f"a session needs one tile's golden reference, got shape {golden.per_test.shape}"
-        )
-
-
 def _reports(raw, compared, golden: GoldenReference, tile_ids) -> list[TestReport]:
     """One report per session of sums (4, sessions, cols), classified at once."""
     kinds, windows = classify(raw, compared, golden)
@@ -311,7 +298,16 @@ def run_session(
     Cycles are the driver's business: ``CycleStats`` charges a session
     exactly four initiation cycles, since drain overlaps resumed streaming.
     """
-    _check_session(array, golden)
+    if not array.weights_loaded:
+        raise RuntimeError("load a weight tile before running a self-test session")
+    if golden.config != array.config:
+        want, got = asdict(array.config), asdict(golden.config)
+        wrong = "; ".join(f"{k} {got[k]!r}, not {v!r}" for k, v in want.items() if got[k] != v)
+        raise ValueError(f"golden reference computed for another array: {wrong}")
+    if golden.per_test.ndim != 2:
+        raise ValueError(
+            f"a session needs one tile's golden reference, got shape {golden.per_test.shape}"
+        )
     cfg = array.config
     raw, _ = array.stream(*_session_stream(cfg.rows, cfg.m))
     compared = array.edge_compare(raw, golden.per_test)
@@ -334,16 +330,23 @@ def stacked_sessions(array: TensorArray, values, indexes, tile_ids) -> list[Test
     return _reports(raw, array.edge_compare(raw, golden.per_test), golden, tile_ids)
 
 
-def lane_session(
-    array: TensorArray, golden: GoldenReference, lanes: FaultLanes
+def fault_sessions(
+    array: TensorArray, sites: np.ndarray, values, indexes
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``run_session``'s raw and compared sums once per fault lane.
+    """``stacked_sessions``' sums once per fault of a ``fault_sites`` table.
 
-    Returns (raw, compared), each (4, lanes.count, cols); lane l is what a
-    session reports with only lane l's fault injected.  Nothing is
-    classified.
+    Returns (raw, compared), each (4, tiles, faults, cols): [:, t, f] is what
+    a session reports on tile t with fault f alone injected, derived by
+    ``TensorArray.stream_faults``.  An edge-accumulator fault forces its
+    column's raw sum before the golden is added.  Nothing is classified.
     """
-    _check_session(array, golden)
     cfg = array.config
-    raw = array.stream_lanes(lanes, *_session_stream(cfg.rows, cfg.m))
-    return raw, array.edge_compare_lanes(lanes, raw, golden.per_test[:, None])
+    blocks, norths, flags = _session_stream(cfg.rows, cfg.m)
+    per_tile = np.broadcast_to(blocks[:, None], (4, len(values)) + blocks.shape[1:])
+    _, raw = array.stream_faults(sites, values, indexes, per_tile, norths, flags)
+    golden = _golden(np.asarray(values), np.asarray(indexes), cfg).per_test[:, :, None]
+    (edge,) = np.nonzero(sites[:, 0] == CLASS_CODE[RegClass.EDGE_ACCUMULATOR])
+    _, _, cols, _, and_bits, or_bits = sites[edge].T
+    read = raw.copy()
+    read[:, :, edge, cols] = raw[:, :, edge, cols] & and_bits | or_bits
+    return raw, wrap_signed(read + golden, cfg.acc_width)

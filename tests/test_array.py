@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from stasim.arith import Word, force_bit, wrap_signed
-from stasim.array import ArrayConfig, FaultLanes, FaultSite, RegClass, TensorArray
+from stasim.array import ArrayConfig, FaultSite, RegClass, TensorArray, fault_sites
 from stasim.campaign import enumerate_faults, random_tiles, run_campaign
 from stasim.driver import Layer, Workload, tiled_matmul
 from stasim.sparsity import SparseWeightTile, densify, pack_tile
@@ -134,7 +134,7 @@ def test_fault_site_rejects_non_integers(field, value):
     cfg = ArrayConfig(rows=2, cols=2)
     fault = replace(FaultSite(RegClass.WEIGHT, 0, 0, 0, 3, 1), **{field: value})
     message = rf"FaultSite {field} must be an integer for weight, got {re.escape(repr(value))}"
-    checks = (lambda f: f.validate(cfg), TensorArray(cfg).inject, lambda f: FaultLanes(cfg, [f]))
+    checks = (lambda f: f.validate(cfg), TensorArray(cfg).inject, lambda f: fault_sites(cfg, [f]))
     for check in checks:
         with pytest.raises(ValueError, match=message):
             check(fault)
@@ -247,15 +247,21 @@ def test_compute_zero_inputs_and_zero_weights():
 
 def test_compute_shape_validation():
     array = TensorArray(ArrayConfig(rows=2, cols=2))
-    array.load_weights(pack_tile(np.ones((8, 2), dtype=np.int64), 4, 2))
+    tile = pack_tile(np.ones((8, 2), dtype=np.int64), 4, 2)
+    array.load_weights(tile)
     with pytest.raises(ValueError):
         array.run_compute(np.ones((3, 7), dtype=np.int64))
     blocks = np.ones((3, 2, 4), dtype=np.int64)
+    sites, stack = fault_sites(array.config, []), (tile.values[None], tile.indexes[None])
     for flags in ([True, False], [[True, False, True]]):
         with pytest.raises(ValueError, match="one test-4 flag per input row"):
             array.stream(blocks, test4_mask=flags)
         with pytest.raises(ValueError, match="one test-4 flag per input row"):
-            array.stream_lanes(FaultLanes(array.config, []), blocks, test4_mask=flags)
+            array.stream_faults(sites, *stack, blocks[:, None], test4_mask=flags)
+    # The tile stacks must match each other and the array.
+    for values, indexes in [(tile.values, tile.indexes), (stack[0], stack[1][:, :1])]:
+        with pytest.raises(ValueError, match=r"tile values .* need \(2, 2, 2\)"):
+            array.stream_faults(sites, values, indexes, blocks[:, None])
 
 
 def test_load_cycle_count_and_state_reset():

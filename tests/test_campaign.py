@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stasim.campaign as campaign
-from stasim.array import ArrayConfig, FaultSite, RegClass
+from stasim.array import ArrayConfig, FaultSite, RegClass, TensorArray
 from stasim.campaign import enumerate_faults, random_tiles, run_campaign
 from stasim.sparsity import densify, pack_tile
 from test_lanes import mixed_faults, tile_of_magnitude
@@ -219,6 +219,23 @@ def test_unknown_fault_site_rejected_by_validate():
     bad = FaultSite(RegClass.WEIGHT, TINY.rows, 0, 0, 0, 1)
     with pytest.raises(ValueError):
         bad.validate(TINY)
+
+
+@pytest.mark.parametrize("reg_class", ["foo", "weight"])
+@pytest.mark.parametrize("row", [0, 99])
+def test_fault_class_must_be_a_reg_class_member(reg_class, row):
+    # A plain string passes neither check, even one equal to a member's value.
+    fault = FaultSite(reg_class, row, 0, 0, 3, 1)
+    message = f"FaultSite reg_class must be a RegClass member, got '{reg_class}'"
+    good = FaultSite(RegClass.WEIGHT, 0, 0, 0, 3, 1)
+    checks = (
+        lambda: fault.validate(TINY),
+        lambda: TensorArray(TINY).inject(fault),
+        lambda: run_campaign([zero_tile(TINY)], TINY, faults=[good, fault]),
+    )
+    for check in checks:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            check()
 
 
 def reference_tally(config, tiles, faults, table, harmless_checked):

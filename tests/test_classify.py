@@ -3,7 +3,7 @@
 ``scalar_classify`` and ``scalar_outcome`` are the reference: they judge one
 session at a time, one column after another, as the rules in ``classify``'s
 and ``_classification_outcome``'s docstrings read.  The array forms must
-agree with them on every lane of random (raw, compared) arrays, including
+agree with them on every session of random (raw, compared) arrays, including
 sessions whose test-4 failures break the period (no window) and columns
 left unclassified.  ``tests/test_lanes.py`` uses the same reference for its
 campaign differential.
@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from stasim.arith import mask_of
-from stasim.array import ArrayConfig, FaultLanes, FaultSite, RegClass
+from stasim.array import ArrayConfig, FaultSite, RegClass, fault_sites
 from stasim.campaign import _classification_outcome
 from stasim.selftest import (
     EXPECTED_COMPARED,
@@ -153,7 +153,7 @@ def test_array_classifier_matches_scalar_copy(seed):
             FaultSite(list(RegClass)[c], 0, int(rng.integers(0, cols)), 0, 0, 0)
             for c in rng.integers(0, len(RegClass), size=lanes)
         ]
-        sites = FaultLanes(cfg, faults).sites
+        sites = fault_sites(cfg, faults)
         failed = (compared != np.reshape(EXPECTED_COMPARED, (4, 1, 1))).any(axis=2)
         verdict_ok = _classification_outcome(sites, failed, kinds, windows)
         for lane, fault in enumerate(faults):

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface via main(argv)."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -251,6 +252,34 @@ def test_campaign_outputs_are_reproducible(tmp_path, capsys):
     assert payload["total_faults"] == 608
     assert payload["detected"] > 0
     assert "faults detected" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "flags, coverage_sha256, curve_sha256",
+    [
+        (
+            [],
+            "c1b06ae3c3cce5e943d358b750a38bf0e1e1ce1a5dc54dd0340865a1bb78fa87",
+            "5257908bde2e80a6f7e599398e9e3062dd60a444f5163dcc739af89a8b794e4a",
+        ),
+        (
+            ["--rows", "4", "--cols", "4", "--mode", "1:4"],
+            "f44d9657a3a285f52fabbcd8d1cdd3ad40d22aca597fbc5350fdf4edc25d9606",
+            "be60d98d4c782899261a2aedb43191ff4c9270982510f3bafcdd3b51ae843b39",
+        ),
+    ],
+    ids=["8x8-2:4", "4x4-1:4"],
+)
+def test_full_universe_harmless_campaign_artifacts_are_pinned(
+    flags, coverage_sha256, curve_sha256, tmp_path
+):
+    # Whole fault universe, 10 random tiles, seed 0, harmless check on: the
+    # bytes of both artifacts are pinned, so any engine change that moves a
+    # single outcome shows here.
+    out, curve = tmp_path / "coverage.json", tmp_path / "curve.csv"
+    assert main(["campaign", "--harmless", *flags, "-o", str(out), "--curve", str(curve)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == coverage_sha256
+    assert hashlib.sha256(curve.read_bytes()).hexdigest() == curve_sha256
 
 
 def test_campaign_with_explicit_weight_csvs(tmp_path):

@@ -1,10 +1,11 @@
-"""Property tests: fault lanes against one fault injected at a time.
+"""Property tests: single faults in closed form against one fault injected at a time.
 
-The references are the per-fault loops the lanes replace: inject a single
-fault, then ``stream`` or run one ``run_session`` per tile until a session
-flags it, classify it with the scalar classifier copies of
-``test_classify``, and check an undetected fault's harmlessness with
-``run_compute``.
+``TensorArray.stream_faults`` and ``selftest.fault_sessions`` derive every
+fault's sums from one fault-free pass.  The references are the loops they
+replace: inject a single fault, then ``stream`` or run one ``run_session``
+per tile until a session flags it, classify it with the scalar classifier
+copies of ``test_classify``, and check an undetected fault's harmlessness
+with ``run_compute``.
 """
 
 from unittest.mock import patch
@@ -15,21 +16,21 @@ from hypothesis import strategies as st
 
 import stasim.array
 import stasim.campaign as campaign
-from stasim.array import FaultLanes, FaultSite, RegClass, TensorArray
-from stasim.campaign import run_campaign
-from stasim.selftest import run_session
+from stasim.array import ArrayConfig, FaultSite, RegClass, TensorArray, fault_sites
+from stasim.campaign import enumerate_faults, random_tiles, run_campaign
+from stasim.selftest import compute_golden, fault_sessions, run_session
 from stasim.sparsity import SparseWeightTile
 from test_classify import scalar_classify, scalar_outcome
 from test_stream import assert_same_registers, configs
 
 
 def reference_evaluate(config, tiles, goldens, faults, verify_classification, harness):
-    """One fault after another on a fresh fault state: the loop lanes replace.
+    """One fault after another on a fresh fault state: the loop the closed form replaces.
 
     Returns the outcome table ``campaign._evaluate_faults`` fills, one row
     per fault, with -1 for an unknown outcome.
     """
-    array = TensorArray(config)
+    array, clean = TensorArray(config), TensorArray(config)
     outcomes = []
     for fault in faults:
         array.clear_faults()
@@ -45,12 +46,12 @@ def reference_evaluate(config, tiles, goldens, faults, verify_classification, ha
                     classification_ok = scalar_outcome(fault, report.compared, verdicts)
                 break
         if detected_tile is None and harness is not None:
-            stacks, clean = harness
             harmless = True
-            for tile, stack, want in zip(tiles, stacks, clean):
+            for ti, tile in enumerate(tiles):
+                rows = harness[:, ti].reshape(len(harness), -1)
                 array.load_weights(tile)
-                got, _ = array.run_compute(stack.reshape(len(stack), -1))
-                if not np.array_equal(got, want):
+                clean.load_weights(tile)
+                if not np.array_equal(array.run_compute(rows)[0], clean.run_compute(rows)[0]):
                     harmless = False
                     break
         row = (detected_tile, classification_ok, harmless)
@@ -94,76 +95,92 @@ def mixed_faults(rng, cfg, count):
     return faults
 
 
+def corner_faults(rng, cfg, tile):
+    """(tile, faults) adding the corners the closed form treats apart.
+
+    An index fault that makes an active slot's index point past the block,
+    whenever the index width can hold such a value (m not a power of two
+    above 1): the tile stores m-1 there and the fault sets a bit clear in it.
+    And a weight and an index fault on a slot the mode gates, if any.
+    """
+    faults = []
+    free = [bit for bit in range(cfg.index_width) if not (cfg.m - 1) >> bit & 1]
+    if free:
+        row, col = int(rng.integers(0, cfg.rows)), int(rng.integers(0, cfg.cols))
+        slot = int(rng.integers(0, cfg.active_slots))
+        indexes = tile.indexes.copy()
+        indexes[row, col, slot] = cfg.m - 1
+        tile = SparseWeightTile(tile.values, indexes, m=cfg.m, n=cfg.n, data_width=cfg.data_width)
+        faults.append(FaultSite(RegClass.WEIGHT_INDEX, row, col, slot, free[-1], 1))
+        assert (cfg.m - 1) | 1 << free[-1] >= cfg.m
+    if cfg.active_slots < cfg.n:
+        slot = int(rng.integers(cfg.active_slots, cfg.n))
+        for cls in (RegClass.WEIGHT, RegClass.WEIGHT_INDEX):
+            bit = int(rng.integers(0, cfg.reg_specs[cls].width))
+            faults.append(FaultSite(cls, 0, 0, slot, bit, int(rng.integers(0, 2))))
+    return tile, faults
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(
     cfg=configs(),
-    fault_count=st.integers(5, 14),
-    blocks=st.lists(
-        st.tuples(st.integers(0, 5), st.sampled_from([False, True, "rows"])),
-        min_size=1,
-        max_size=2,
-    ),
+    fault_set=st.sampled_from(["mixed", "duplicates", "empty"]),
+    tiles=st.integers(1, 2),
+    x_rows=st.integers(0, 5),
+    test4_mask=st.sampled_from([False, True, "rows"]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_stream_lanes_match_one_fault_at_a_time(cfg, fault_count, blocks, seed):
+def test_stream_faults_match_one_fault_at_a_time(cfg, fault_set, tiles, x_rows, test4_mask, seed):
     rng = np.random.default_rng(seed)
-    faults = mixed_faults(rng, cfg, fault_count)
-    lanes = FaultLanes(cfg, faults)
-    tile = tile_of_magnitude(rng, cfg, 1 << 30)
-    array, single = TensorArray(cfg), TensorArray(cfg)
-    array.load_weights(tile)
-    single.load_weights(tile)
-    # Faults injected into the array itself do not reach the lanes.
-    array.inject(faults[0])
-    before = array.registers()
+    stack = [tile_of_magnitude(rng, cfg, 1 << 30) for _ in range(tiles)]
+    stack[0], corners = corner_faults(rng, cfg, stack[0])
+    faults = mixed_faults(rng, cfg, int(rng.integers(5, 10))) + corners
+    if fault_set == "duplicates":
+        faults += [faults[i] for i in rng.integers(0, len(faults), size=4)]
+        rng.shuffle(faults)
+    elif fault_set == "empty":
+        faults = []
+    values = np.stack([tile.values for tile in stack])
+    indexes = np.stack([tile.indexes for tile in stack])
     d_hi, a_hi = 1 << (cfg.data_width - 1), 1 << (cfg.acc_width - 1)
-    for x_rows, test4_mask in blocks:
-        west = rng.integers(-2 * d_hi, 2 * d_hi, size=(x_rows, cfg.rows, cfg.m))
-        north = rng.integers(-2 * a_hi, 2 * a_hi, size=x_rows)
-        if test4_mask == "rows":
-            test4_mask = rng.integers(0, 2, size=x_rows).astype(bool)
-        got = array.stream_lanes(lanes, west, north, test4_mask=test4_mask)
-        assert got.shape == (x_rows, len(faults), cfg.cols)
-        # One to four tests' sums per lane, as a session compares them.
-        tests = int(rng.integers(1, 5))
-        raw = rng.integers(-2 * a_hi, 2 * a_hi, size=(tests, len(faults), cfg.cols))
-        gold = rng.integers(-2 * a_hi, 2 * a_hi, size=(tests, 1, cfg.cols))
-        compared = array.edge_compare_lanes(lanes, raw, gold)
-        for lane, fault in enumerate(faults):
+    # One bit wider than the registers; north values at the accumulator's
+    # limits, so that sums wrap it.
+    blocks = rng.integers(-2 * d_hi, 2 * d_hi, size=(x_rows, tiles, cfg.rows, cfg.m))
+    north = rng.choice([-a_hi, a_hi - 1], size=x_rows) + rng.integers(-1, 2, size=x_rows)
+    if test4_mask == "rows":
+        test4_mask = rng.integers(0, 2, size=x_rows).astype(bool)
+
+    array, single = TensorArray(cfg), TensorArray(cfg)
+    # Faults injected into the array itself do not reach the closed form.
+    array.inject(mixed_faults(rng, cfg, 1)[0])
+    before = array.registers()
+    sites = fault_sites(cfg, faults)
+    clean, sums = array.stream_faults(sites, values, indexes, blocks, north, test4_mask)
+    raw, compared = fault_sessions(array, sites, values, indexes)
+    assert_same_registers(array.registers(), before, "stream_faults")
+    assert sums.shape == (x_rows, tiles, len(faults), cfg.cols)
+    assert raw.shape == compared.shape == (4, tiles, len(faults), cfg.cols)
+    for t, tile in enumerate(stack):
+        single.clear_faults()
+        single.load_weights(tile)
+        assert np.array_equal(clean[:, t], single.stream(blocks[:, t], north, test4_mask)[0])
+        golden = compute_golden(tile, cfg)
+        for f, fault in enumerate(faults):
             single.clear_faults()
             single.inject(fault)
-            want, _ = single.stream(west, north, test4_mask=test4_mask)
-            assert np.array_equal(got[:, lane], want)
-            want = single.edge_compare(raw[:, lane], gold[:, 0])
-            assert np.array_equal(compared[:, lane], want)
-    assert_same_registers(array.registers(), before, "stream_lanes")
+            want, _ = single.stream(blocks[:, t], north, test4_mask)
+            assert np.array_equal(sums[:, t, f], want), (t, fault)
+            report = run_session(single, golden)
+            assert np.array_equal(raw[:, t, f], report.raw), (t, fault)
+            assert np.array_equal(compared[:, t, f], report.compared), (t, fault)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(
-    cfg=configs(),
-    lanes_per_pass=st.integers(3, 6),
-    full_chunks=st.integers(2, 3),
-    magnitudes=st.lists(st.sampled_from([0, 1, 3, 1 << 30]), min_size=1, max_size=3),
-    harmless_rows=st.integers(1, 9),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_lane_campaign_matches_per_fault_loop(
-    cfg, lanes_per_pass, full_chunks, magnitudes, harmless_rows, seed
-):
-    rng = np.random.default_rng(seed)
-    # Longer than one chunk, and not a whole number of chunks.
-    remainder = int(rng.integers(1, lanes_per_pass))
-    faults = mixed_faults(rng, cfg, lanes_per_pass * full_chunks + remainder - 2)
-    assert len({f.reg_class for f in faults}) == len(RegClass)
-    tiles = [tile_of_magnitude(rng, cfg, mag) for mag in magnitudes]
-    budget = lanes_per_pass * 4 * cfg.rows * cfg.cols * cfg.m
-    kwargs = dict(
-        faults=faults,
-        verify_classification=True,
-        check_harmless=True,
-        seed=seed,
-    )
+def assert_matches_per_fault_loop(cfg, tiles, faults, budget, **kwargs):
+    """Run a campaign under ``LANE_BUDGET = budget`` and with the per-fault loop.
+
+    Both must fill the same outcome table and report the same.  Returns the
+    table.
+    """
     outcomes = {}
 
     def recording(name, evaluate):
@@ -173,17 +190,53 @@ def test_lane_campaign_matches_per_fault_loop(
 
         return wrapped
 
-    def reference_table(tiles, goldens, universe, verify, harness):
-        return reference_evaluate(universe.config, tiles, goldens, faults, verify, harness)
+    def reference_table(tiles, goldens, sites, verify, harness):
+        universe = enumerate_faults(cfg) if faults is None else faults
+        return reference_evaluate(cfg, tiles, goldens, universe, verify, harness)
 
+    with patch.object(stasim.array, "LANE_BUDGET", budget), patch.object(
+        campaign, "_evaluate_faults", recording("closed form", campaign._evaluate_faults)
+    ):
+        closed_form = run_campaign(tiles, cfg, faults=faults, **kwargs)
+    with patch.object(campaign, "_evaluate_faults", recording("reference", reference_table)):
+        reference = run_campaign(tiles, cfg, faults=faults, **kwargs)
+    assert np.array_equal(outcomes["closed form"], outcomes["reference"])
+    assert closed_form.to_dict() == reference.to_dict()
+    return outcomes["closed form"]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    cfg=configs(),
+    faults_per_step=st.integers(3, 6),
+    full_chunks=st.integers(2, 3),
+    magnitudes=st.lists(st.sampled_from([0, 1, 3, 1 << 30]), min_size=1, max_size=3),
+    harmless_rows=st.integers(1, 9),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_lane_campaign_matches_per_fault_loop(
+    cfg, faults_per_step, full_chunks, magnitudes, harmless_rows, seed
+):
+    rng = np.random.default_rng(seed)
+    # Longer than one chunk, and not a whole number of chunks.
+    remainder = int(rng.integers(1, faults_per_step))
+    faults = mixed_faults(rng, cfg, faults_per_step * full_chunks + remainder - 2)
+    assert len({f.reg_class for f in faults}) == len(RegClass)
+    tiles = [tile_of_magnitude(rng, cfg, mag) for mag in magnitudes]
+    # A session call on one tile holds 4 waves x faults x cols.
+    budget = faults_per_step * 4 * cfg.cols
     with patch.object(campaign, "HARMLESS_ROWS", harmless_rows):
-        with patch.object(stasim.array, "LANE_BUDGET", budget), patch.object(
-            campaign, "_evaluate_faults", recording("lanes", campaign._evaluate_faults)
-        ):
-            lanes = run_campaign(tiles, cfg, **kwargs)
-        with patch.object(
-            campaign, "_evaluate_faults", recording("reference", reference_table)
-        ):
-            reference = run_campaign(tiles, cfg, **kwargs)
-    assert np.array_equal(outcomes["lanes"], outcomes["reference"])
-    assert lanes.to_dict() == reference.to_dict()
+        assert_matches_per_fault_loop(
+            cfg, tiles, faults, budget, verify_classification=True, check_harmless=True, seed=seed
+        )
+
+
+def test_whole_universe_in_small_steps_matches_per_fault_loop():
+    # Seven faults per session call and one per harness call: both walks
+    # cross many call boundaries, and the escapes are of both kinds.
+    cfg = ArrayConfig(rows=1, cols=2, m=4, n=2, data_width=8, acc_width=16)
+    rng = np.random.default_rng(457)
+    tiles = [random_tiles(rng, cfg, 1, magnitude=mag)[0] for mag in (None, 3)]
+    table = assert_matches_per_fault_loop(cfg, tiles, None, 7 * 4 * cfg.cols, check_harmless=True)
+    harmless = table[:, 2]
+    assert (harmless == 0).sum() > 1 and (harmless == 1).sum() > 1

@@ -7,14 +7,14 @@ import numpy as np
 import pytest
 
 from stasim.arith import Word, bit_not, is_bitwise_complement, wrap_signed
-from stasim.array import ArrayConfig, FaultLanes, FaultSite, RegClass, TensorArray
+from stasim.array import ArrayConfig, FaultSite, RegClass, TensorArray, fault_sites
 from stasim.selftest import (
     EXPECTED_COMPARED,
     GoldenReference,
     VerdictKind,
     classify,
     compute_golden,
-    lane_session,
+    fault_sessions,
     locate_activation,
     run_session,
     session_vectors,
@@ -222,11 +222,10 @@ def test_passes_write_no_register():
     cfg = ArrayConfig(rows=3, cols=5, m=3, n=2)
     tile = random_tile(rng, cfg)
     golden = compute_golden(tile, cfg)
-    lane_faults = [
-        FaultSite(RegClass.OUTPUT, 1, 4, 0, 2, 1),
-        FaultSite(RegClass.ACTIVATION, 0, 1, 2, 4, 0),
-    ]
-    lanes = FaultLanes(cfg, lane_faults)
+    sites = fault_sites(
+        cfg,
+        [FaultSite(RegClass.OUTPUT, 1, 4, 0, 2, 1), FaultSite(RegClass.ACTIVATION, 0, 1, 2, 4, 0)],
+    )
     array = TensorArray(cfg)
     array.inject(FaultSite(RegClass.ACTIVATION, 2, 3, 1, 0, 1))
     array.load_weights(tile)
@@ -242,9 +241,9 @@ def test_passes_write_no_register():
         "run_compute": lambda: array.run_compute(blocks.reshape(6, cfg.block_rows)),
         "run_session": lambda: run_session(array, golden),
         "stream_tiles": lambda: array.stream_tiles(*stack, blocks[:, None]),
-        "stream_lanes": lambda: array.stream_lanes(lanes, blocks),
+        "stream_faults": lambda: array.stream_faults(sites, *stack, blocks[:, None]),
         "stacked_sessions": lambda: stacked_sessions(array, *stack, ["t0"]),
-        "lane_session": lambda: lane_session(array, golden, lanes),
+        "fault_sessions": lambda: fault_sessions(array, sites, *stack),
     }
     for name, run in passes.items():
         run()
@@ -290,10 +289,8 @@ def test_sessions_need_one_tiles_golden():
     array = TensorArray(cfg)
     array.load_weights(cfg.pack(np.ones((4, 2), dtype=np.int64)))
     stacked = GoldenReference(np.zeros((4, 1, 2), dtype=np.int64), cfg)
-    lanes = FaultLanes(cfg, [FaultSite(RegClass.WEIGHT, 0, 0, 0, 0, 1)])
-    for session in (run_session, lambda *args: lane_session(*args, lanes)):
-        with pytest.raises(ValueError, match=r"golden reference, got shape \(4, 1, 2\)"):
-            session(array, stacked)
+    with pytest.raises(ValueError, match=r"golden reference, got shape \(4, 1, 2\)"):
+        run_session(array, stacked)
 
 
 @pytest.mark.parametrize("field, value", [("mode", "1:4"), ("rows", 4), ("acc_width", 17)])
@@ -309,8 +306,6 @@ def test_golden_for_another_config_rejected(field, value):
     mismatch = f"computed for another array: {field} {value!r}, not {getattr(cfg, field)!r}$"
     with pytest.raises(ValueError, match=mismatch):
         run_session(array, golden)
-    with pytest.raises(ValueError, match=mismatch):
-        lane_session(array, golden, FaultLanes(cfg, ()))
 
 
 # -- fault signatures --------------------------------------------------------------
