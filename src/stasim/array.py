@@ -25,9 +25,9 @@ writes no register: ``step``, the one clocked model, latches what
 
 ``stream_tiles`` streams a stack of packed tiles in one pass, tile t standing
 in for the loaded weights, which is what the tiled driver runs on.  Campaigns
-run on ``stream_faults`` instead: it derives every single fault's sums in
-closed form from one fault-free pass (differential fault simulation).
-Callers cut their input to ``per_pass`` tiles or ``per_step`` faults a call.
+run on ``stream_faults``: on the loaded tile of a fault-free array, it derives
+every single fault's sums in closed form from one fault-free pass.  Callers
+cut their input to ``per_pass`` tiles or ``per_step`` faults a call.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
 from numbers import Integral
-from typing import Optional, Sequence
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -277,13 +277,14 @@ def _masked(masks, cls: RegClass, values: np.ndarray, at=...) -> np.ndarray:
     return (values & and_mask[at]) | or_mask[at]
 
 
-def fault_sites(config: ArrayConfig, faults: Optional[Sequence[FaultSite]] = None) -> np.ndarray:
+def fault_sites(config: ArrayConfig, faults: Optional[Iterable[FaultSite]] = None) -> np.ndarray:
     """The (faults, 6) table of single faults that ``TensorArray.stream_faults`` takes.
 
     Row f is fault f's ``CLASS_CODE``, row, col, element and ``mask_bits``.
     ``faults=None`` is every fault of ``config`` in ``enumerate_faults``
-    order, made without ``FaultSite`` objects.  A list is checked as arrays,
-    or by ``FaultSite.validate`` (naming a bad field) if not all plain ints.
+    order, made without ``FaultSite`` objects.  Given faults, read once, are
+    checked as arrays, or by ``FaultSite.validate`` (naming a bad field) if
+    not all plain ints.
     """
     specs = config.reg_specs.values()
     if faults is None:
@@ -292,6 +293,7 @@ def fault_sites(config: ArrayConfig, faults: Optional[Sequence[FaultSite]] = Non
             for code, spec in enumerate(specs)
         ]).T
     else:
+        faults = list(faults)  # both checks read it, a one-shot iterable too
         cells = [(f.reg_class, f.row, f.col, f.element, f.bit, f.stuck) for f in faults]
         limits = np.array([spec.shape + (spec.width, 2) for spec in specs])
         try:
@@ -568,52 +570,46 @@ class TensorArray:
         )
         return self._wavefront(self._masks, regs, act, psum[:, None], flags)
 
-    def stream_faults(
-        self, sites, values, indexes, blocks, north_values=None, test4_mask=False
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """``stream_tiles`` fault-free and once per fault of a ``fault_sites`` table.
+    def stream_faults(self, sites, blocks, north_values=None, test4_mask=False):
+        """``stream`` fault-free and once per fault of a ``fault_sites`` table.
 
-        Returns clean (X, tiles, cols) and sums (X, tiles, faults, cols), where
-        sums[:, t, f] is ``stream`` on tile t with fault f alone injected.  Below
-        a faulted cell the datapath only adds modulo 2**acc_width, so the
-        fault-free per-element weights PE and row prefix sums P give each sum:
-        an activation fault adds (a' - a) * PE from its column east; a weight or
-        index fault on an active slot, its product's change (an index not on
-        test-4 waves, one past the block selecting 0); an output fault at row r
-        gives mask(P[r]) + P[last] - P[r]; an edge fault, nothing.  Several
-        faults at once stay on the wave engine.  Callers cut tables into calls
-        of ``ArrayConfig.per_step`` faults.
+        Returns clean (X, cols) and sums (X, faults, cols), where sums[:, f] is
+        ``stream`` with fault f alone injected.  Below a faulted cell the
+        datapath only adds modulo 2**acc_width, so the fault-free per-element
+        weights PE and row prefix sums P give each sum: an activation fault
+        adds (a' - a) * PE from its column east; a weight or index fault on an
+        active slot, its product's change (an index not on test-4 waves, one
+        past the block selecting 0); an output fault at row r gives mask(P[r])
+        + P[last] - P[r]; an edge fault, nothing.  The array must hold no
+        injected fault: several faults at once stay on the wave engine.
+        Callers cut tables into calls of ``ArrayConfig.per_step`` faults.
         """
+        values, indexes = self._loaded()
+        if self._masks:
+            raise ValueError("stream_faults needs an array without injected faults")
         cfg = self.config
-        values, indexes = np.asarray(values), np.asarray(indexes)
-        want = (cfg.rows, cfg.cols, cfg.n)
-        if values.shape != indexes.shape or values.shape[1:] != want:
-            raise ValueError(f"tile values {values.shape}, indexes {indexes.shape}: need {want}")
-        check_entries(values, indexes, cfg.m, cfg.data_width)
-        values, indexes = values.astype(np.int64), indexes.astype(np.int64)
-        act, psum, flags = self._wave_inputs(blocks, north_values, test4_mask, values.shape[:1])
-        x_rows, tiles, k, m = len(act), len(values), cfg.active_slots, cfg.m
-        # Selections (tiles, rows, cols, n) and per-element weights (tiles,
-        # rows, m, cols) without and with the test-4 override, then per wave.
-        sel = np.stack([indexes, np.broadcast_to(self._forced_sel, indexes.shape)])
+        act, psum, flags = self._wave_inputs(blocks, north_values, test4_mask)
+        waves, k, m = np.arange(len(act))[:, None], cfg.active_slots, cfg.m
+        # Selections (rows, cols, n) and per-element weights (rows, m, cols)
+        # without and with the test-4 override, then per wave.
+        sel = np.stack([indexes, self._forced_sel])
         pe = (values[..., :k, None] * (sel[..., :k, None] == np.arange(m))).sum(-2)
-        forced = np.broadcast_to(flags, (x_rows,)).astype(np.intp)
-        sel, pe, forced = sel[forced], pe.swapaxes(-1, -2)[forced], forced[:, None, None]
-        prefix = np.cumsum(np.einsum("xtrm,xtrmc->xtrc", act, pe), axis=2)
-        prefix = wrap_signed(psum[:, :, None, None] + prefix, cfg.acc_width)
-        clean = prefix[:, :, -1]
+        forced = np.broadcast_to(flags, (len(act),)).astype(np.intp)
+        sel, pe, forced = sel[forced], pe.swapaxes(-1, -2)[forced], forced[:, None]
+        prefix = np.cumsum(np.einsum("xrm,xrmc->xrc", act, pe), axis=1)
+        prefix = wrap_signed(psum[:, :, None] + prefix, cfg.acc_width)
+        clean = prefix[:, -1]
 
         code, row, col, element, and_bits, or_bits = sites.T
-        waves, tile_ids = np.arange(x_rows)[:, None, None], np.arange(tiles)[:, None]
 
         def read(words, ids):  # stuck bits forced onto (..., faults) words
             return (words & and_bits[ids]) | or_bits[ids]
 
-        def product(r, weight, chosen):  # (X, tiles, faults), a chosen index past m picks 0
-            picked = act[waves, tile_ids, r, np.minimum(chosen, m - 1)]
+        def product(r, weight, chosen):  # (X, faults), a chosen index past m picks 0
+            picked = act[waves, r, np.minimum(chosen, m - 1)]
             return weight * np.where(chosen < m, picked, 0)
 
-        sums = np.repeat(clean[:, :, None], len(sites), axis=2)
+        sums = np.repeat(clean[:, None], len(sites), axis=1)
         for cls in list(RegClass)[:-1]:  # an edge fault changes no sum
             ids = np.flatnonzero(code == CLASS_CODE[cls])
             if cls in (RegClass.WEIGHT, RegClass.WEIGHT_INDEX):
@@ -622,20 +618,20 @@ class TensorArray:
                 continue
             r, c, e = row[ids], col[ids], element[ids]
             if cls is RegClass.ACTIVATION:
-                before, spread = act[:, :, r, e], np.arange(cfg.cols) >= c[:, None]
-                delta = (read(before, ids) - before)[..., None] * spread * pe[:, :, r, e]
+                before, spread = act[:, r, e], np.arange(cfg.cols) >= c[:, None]
+                delta = (read(before, ids) - before)[..., None] * spread * pe[:, r, e]
                 c = slice(None)  # every column, the ones west of the fault adding 0
             elif cls is RegClass.OUTPUT:
-                before = prefix[:, :, r, c]
+                before = prefix[:, r, c]
                 delta = read(before, ids) - before
             else:
-                weight, chosen = values[:, r, c, e], sel[:, :, r, c, e]
+                weight, chosen = values[r, c, e], sel[:, r, c, e]
                 if cls is RegClass.WEIGHT:
                     after = read(weight, ids), chosen
                 else:
                     after = weight, np.where(forced, chosen, read(chosen, ids))
                 delta = product(r, *after) - product(r, weight, chosen)
-            sums[:, :, ids, c] += delta
+            sums[:, ids, c] += delta
         return clean, wrap_signed(sums, cfg.acc_width)
 
     def run_compute(self, a):

@@ -10,11 +10,11 @@ Optionally the campaign checks, per detected fault, that the session verdict
 names the injected register class, and, per undetected fault, whether the
 fault is actually harmless (bit-identical matmul results on random inputs).
 
-Faults are one ``fault_sites`` table.  Per tile, one fault-free pass gives
-the session sums of every fault still undetected in closed form
-(``fault_sessions``), and one ``classify`` call judges those it detects.  All
-runs in the calling process.  Outcomes fill one integer table, a row per
-fault, which the report counts with ``np.bincount``.
+Faults are one ``fault_sites`` table.  Each walk loads each tile once; one
+fault-free pass then gives the session sums of every fault still undetected
+in closed form (``fault_sessions``, with the tile's golden), and one
+``classify`` call judges those it detects.  All runs in the calling process.
+Outcomes fill one integer table, a row per fault, counted by ``np.bincount``.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import asdict, dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -132,16 +132,16 @@ def _evaluate_faults(
     Each tile's faults go in calls of ``ArrayConfig.per_step`` faults.
     """
     array = TensorArray(goldens[0].config)
-    regs = np.array([(tile.values, tile.indexes) for tile in tiles]).swapaxes(0, 1)
     table = np.full((len(sites), 3), -1, dtype=np.int64)
     detected_tile, classification_ok, harmless = table.T
 
     live, step = np.arange(len(sites)), array.config.per_step(4)  # a session is 4 waves
-    for ti, golden in enumerate(goldens):
+    for ti, (tile, golden) in enumerate(zip(tiles, goldens)):
         if not len(live):
             break
+        array.load_weights(tile)
         for ids in np.split(live, range(step, len(live), step)):
-            raw, compared = (s[:, 0] for s in fault_sessions(array, sites[ids], *regs[:, [ti]]))
+            raw, compared = fault_sessions(array, sites[ids], golden)
             failed = (compared != np.reshape(EXPECTED_COMPARED, (4, 1, 1))).any(axis=2)
             hits = failed.any(axis=0)
             detected_tile[ids[hits]] = ti
@@ -155,10 +155,11 @@ def _evaluate_faults(
     if harness is not None:
         harmless[live] = 1
         step = array.config.per_step(len(harness))
-        for ti in range(len(tiles)):
+        for ti, tile in enumerate(tiles):
+            array.load_weights(tile)
             for ids in np.split(live, range(step, len(live), step)):
-                clean, got = array.stream_faults(sites[ids], *regs[:, [ti]], harness[:, [ti]])
-                harmless[ids[(got != clean[:, :, None]).any(axis=(0, 1, 3))]] = 0
+                clean, got = array.stream_faults(sites[ids], harness[:, ti])
+                harmless[ids[(got != clean[:, None]).any(axis=(0, 2))]] = 0
             live = live[harmless[live] == 1]
     return table
 
@@ -215,7 +216,7 @@ def run_campaign(
     tiles: Sequence[SparseWeightTile],
     config: ArrayConfig,
     *,
-    faults: Optional[Sequence[FaultSite]] = None,
+    faults: Optional[Iterable[FaultSite]] = None,
     verify_classification: bool = True,
     check_harmless: bool = False,
     seed: int = 0,

@@ -285,6 +285,20 @@ def _reports(raw, compared, golden: GoldenReference, tile_ids) -> list[TestRepor
     ]
 
 
+def _check_session(array: TensorArray, golden: GoldenReference) -> None:
+    """A session's preconditions: weights loaded, one tile's golden of this config."""
+    if not array.weights_loaded:
+        raise RuntimeError("load a weight tile before running a self-test session")
+    if golden.config != array.config:
+        want, got = asdict(array.config), asdict(golden.config)
+        wrong = "; ".join(f"{k} {got[k]!r}, not {v!r}" for k, v in want.items() if got[k] != v)
+        raise ValueError(f"golden reference computed for another array: {wrong}")
+    if golden.per_test.ndim != 2:
+        raise ValueError(
+            f"a session needs one tile's golden reference, got shape {golden.per_test.shape}"
+        )
+
+
 def run_session(
     array: TensorArray,
     golden: GoldenReference,
@@ -298,16 +312,7 @@ def run_session(
     Cycles are the driver's business: ``CycleStats`` charges a session
     exactly four initiation cycles, since drain overlaps resumed streaming.
     """
-    if not array.weights_loaded:
-        raise RuntimeError("load a weight tile before running a self-test session")
-    if golden.config != array.config:
-        want, got = asdict(array.config), asdict(golden.config)
-        wrong = "; ".join(f"{k} {got[k]!r}, not {v!r}" for k, v in want.items() if got[k] != v)
-        raise ValueError(f"golden reference computed for another array: {wrong}")
-    if golden.per_test.ndim != 2:
-        raise ValueError(
-            f"a session needs one tile's golden reference, got shape {golden.per_test.shape}"
-        )
+    _check_session(array, golden)
     cfg = array.config
     raw, _ = array.stream(*_session_stream(cfg.rows, cfg.m))
     compared = array.edge_compare(raw, golden.per_test)
@@ -331,22 +336,20 @@ def stacked_sessions(array: TensorArray, values, indexes, tile_ids) -> list[Test
 
 
 def fault_sessions(
-    array: TensorArray, sites: np.ndarray, values, indexes
+    array: TensorArray, sites: np.ndarray, golden: GoldenReference
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``stacked_sessions``' sums once per fault of a ``fault_sites`` table.
+    """``run_session``'s sums once per fault of a ``fault_sites`` table.
 
-    Returns (raw, compared), each (4, tiles, faults, cols): [:, t, f] is what
-    a session reports on tile t with fault f alone injected, derived by
+    Returns (raw, compared), each (4, faults, cols): [:, f] is what a session
+    on the loaded tile reports with fault f alone injected, derived by
     ``TensorArray.stream_faults``.  An edge-accumulator fault forces its
     column's raw sum before the golden is added.  Nothing is classified.
     """
+    _check_session(array, golden)
     cfg = array.config
-    blocks, norths, flags = _session_stream(cfg.rows, cfg.m)
-    per_tile = np.broadcast_to(blocks[:, None], (4, len(values)) + blocks.shape[1:])
-    _, raw = array.stream_faults(sites, values, indexes, per_tile, norths, flags)
-    golden = _golden(np.asarray(values), np.asarray(indexes), cfg).per_test[:, :, None]
+    _, raw = array.stream_faults(sites, *_session_stream(cfg.rows, cfg.m))
     (edge,) = np.nonzero(sites[:, 0] == CLASS_CODE[RegClass.EDGE_ACCUMULATOR])
     _, _, cols, _, and_bits, or_bits = sites[edge].T
     read = raw.copy()
-    read[:, :, edge, cols] = raw[:, :, edge, cols] & and_bits | or_bits
-    return raw, wrap_signed(read + golden, cfg.acc_width)
+    read[:, edge, cols] = raw[:, edge, cols] & and_bits | or_bits
+    return raw, wrap_signed(read + golden.per_test[:, None], cfg.acc_width)

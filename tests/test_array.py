@@ -252,16 +252,15 @@ def test_compute_shape_validation():
     with pytest.raises(ValueError):
         array.run_compute(np.ones((3, 7), dtype=np.int64))
     blocks = np.ones((3, 2, 4), dtype=np.int64)
-    sites, stack = fault_sites(array.config, []), (tile.values[None], tile.indexes[None])
+    sites = fault_sites(array.config, [])
     for flags in ([True, False], [[True, False, True]]):
         with pytest.raises(ValueError, match="one test-4 flag per input row"):
             array.stream(blocks, test4_mask=flags)
         with pytest.raises(ValueError, match="one test-4 flag per input row"):
-            array.stream_faults(sites, *stack, blocks[:, None], test4_mask=flags)
-    # The tile stacks must match each other and the array.
-    for values, indexes in [(tile.values, tile.indexes), (stack[0], stack[1][:, :1])]:
-        with pytest.raises(ValueError, match=r"tile values .* need \(2, 2, 2\)"):
-            array.stream_faults(sites, values, indexes, blocks[:, None])
+            array.stream_faults(sites, blocks, test4_mask=flags)
+    # The closed form runs on the loaded tile.
+    with pytest.raises(RuntimeError, match="weights must be loaded"):
+        TensorArray(array.config).stream_faults(sites, blocks)
 
 
 def test_load_cycle_count_and_state_reset():

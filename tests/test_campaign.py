@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stasim.campaign as campaign
-from stasim.array import ArrayConfig, FaultSite, RegClass, TensorArray
+from stasim.array import ArrayConfig, FaultSite, RegClass, TensorArray, fault_sites
 from stasim.campaign import enumerate_faults, random_tiles, run_campaign
 from stasim.sparsity import densify, pack_tile
 from test_lanes import mixed_faults, tile_of_magnitude
@@ -236,6 +236,22 @@ def test_fault_class_must_be_a_reg_class_member(reg_class, row):
     for check in checks:
         with pytest.raises(ValueError, match=f"^{message}$"):
             check()
+
+
+@pytest.mark.parametrize("reg_class", [RegClass.WEIGHT, RegClass.OUTPUT])
+@pytest.mark.parametrize("row", [-1, 9])
+def test_one_shot_fault_iterables_are_checked_like_lists(reg_class, row):
+    # The faults are read once, before either check: a generator or an
+    # iterator gets the list's message, not a table or a bare IndexError.
+    good = [FaultSite(RegClass.WEIGHT, 0, 1, 1, 3, 0), FaultSite(RegClass.OUTPUT, 0, 0, 0, 5, 1)]
+    bad = FaultSite(reg_class, row, 0, 0, 3, 1)
+    message = f"^row {row} outside 0..{TINY.rows - 1} for {reg_class.value}$"
+    for once in (list, lambda faults: (f for f in faults), iter):
+        assert np.array_equal(fault_sites(TINY, once(good)), fault_sites(TINY, good))
+        with pytest.raises(ValueError, match=message):
+            fault_sites(TINY, once(good + [bad]))
+        with pytest.raises(ValueError, match=message):
+            run_campaign([zero_tile(TINY)], TINY, faults=once([bad]))
 
 
 def reference_tally(config, tiles, faults, table, harmless_checked):

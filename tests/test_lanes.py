@@ -11,6 +11,7 @@ with ``run_compute``.
 from unittest.mock import patch
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -140,8 +141,6 @@ def test_stream_faults_match_one_fault_at_a_time(cfg, fault_set, tiles, x_rows, 
         rng.shuffle(faults)
     elif fault_set == "empty":
         faults = []
-    values = np.stack([tile.values for tile in stack])
-    indexes = np.stack([tile.indexes for tile in stack])
     d_hi, a_hi = 1 << (cfg.data_width - 1), 1 << (cfg.acc_width - 1)
     # One bit wider than the registers; north values at the accumulator's
     # limits, so that sums wrap it.
@@ -151,28 +150,34 @@ def test_stream_faults_match_one_fault_at_a_time(cfg, fault_set, tiles, x_rows, 
         test4_mask = rng.integers(0, 2, size=x_rows).astype(bool)
 
     array, single = TensorArray(cfg), TensorArray(cfg)
-    # Faults injected into the array itself do not reach the closed form.
-    array.inject(mixed_faults(rng, cfg, 1)[0])
-    before = array.registers()
     sites = fault_sites(cfg, faults)
-    clean, sums = array.stream_faults(sites, values, indexes, blocks, north, test4_mask)
-    raw, compared = fault_sessions(array, sites, values, indexes)
-    assert_same_registers(array.registers(), before, "stream_faults")
-    assert sums.shape == (x_rows, tiles, len(faults), cfg.cols)
-    assert raw.shape == compared.shape == (4, tiles, len(faults), cfg.cols)
     for t, tile in enumerate(stack):
+        array.load_weights(tile)
+        golden = compute_golden(tile, cfg)
+        before = array.registers()
+        clean, sums = array.stream_faults(sites, blocks[:, t], north, test4_mask)
+        raw, compared = fault_sessions(array, sites, golden)
+        assert_same_registers(array.registers(), before, "stream_faults")
+        assert sums.shape == (x_rows, len(faults), cfg.cols)
+        assert raw.shape == compared.shape == (4, len(faults), cfg.cols)
         single.clear_faults()
         single.load_weights(tile)
-        assert np.array_equal(clean[:, t], single.stream(blocks[:, t], north, test4_mask)[0])
-        golden = compute_golden(tile, cfg)
+        assert np.array_equal(clean, single.stream(blocks[:, t], north, test4_mask)[0])
         for f, fault in enumerate(faults):
             single.clear_faults()
             single.inject(fault)
             want, _ = single.stream(blocks[:, t], north, test4_mask)
-            assert np.array_equal(sums[:, t, f], want), (t, fault)
+            assert np.array_equal(sums[:, f], want), (t, fault)
             report = run_session(single, golden)
-            assert np.array_equal(raw[:, t, f], report.raw), (t, fault)
-            assert np.array_equal(compared[:, t, f], report.compared), (t, fault)
+            assert np.array_equal(raw[:, f], report.raw), (t, fault)
+            assert np.array_equal(compared[:, f], report.compared), (t, fault)
+
+    # The closed form derives single faults on a fault-free array only.
+    array.inject(mixed_faults(rng, cfg, 1)[0])
+    with pytest.raises(ValueError, match="without injected faults"):
+        array.stream_faults(sites, blocks[:, -1], north, test4_mask)
+    with pytest.raises(ValueError, match="without injected faults"):
+        fault_sessions(array, sites, golden)
 
 
 def assert_matches_per_fault_loop(cfg, tiles, faults, budget, **kwargs):

@@ -241,11 +241,20 @@ def test_passes_write_no_register():
         "run_compute": lambda: array.run_compute(blocks.reshape(6, cfg.block_rows)),
         "run_session": lambda: run_session(array, golden),
         "stream_tiles": lambda: array.stream_tiles(*stack, blocks[:, None]),
-        "stream_faults": lambda: array.stream_faults(sites, *stack, blocks[:, None]),
         "stacked_sessions": lambda: stacked_sessions(array, *stack, ["t0"]),
-        "fault_sessions": lambda: fault_sessions(array, sites, *stack),
     }
     for name, run in passes.items():
+        run()
+        assert_same_registers(array.registers(), before, name)
+    # The closed form runs on a fault-free array: the same stepped
+    # registers, read without the injected fault.
+    array.clear_faults()
+    before = array.registers()
+    single_fault_passes = {
+        "stream_faults": lambda: array.stream_faults(sites, blocks),
+        "fault_sessions": lambda: fault_sessions(array, sites, golden),
+    }
+    for name, run in single_fault_passes.items():
         run()
         assert_same_registers(array.registers(), before, name)
 
@@ -256,6 +265,8 @@ def test_session_preconditions():
     array = TensorArray(cfg)
     with pytest.raises(RuntimeError):
         run_session(array, compute_golden(tile, cfg))
+    with pytest.raises(RuntimeError):
+        fault_sessions(array, fault_sites(cfg, None), compute_golden(tile, cfg))
     array.load_weights(tile)
     other = GoldenReference(np.zeros((4, 3), dtype=np.int64), ArrayConfig(rows=2, cols=3))
     with pytest.raises(ValueError):
@@ -289,8 +300,10 @@ def test_sessions_need_one_tiles_golden():
     array = TensorArray(cfg)
     array.load_weights(cfg.pack(np.ones((4, 2), dtype=np.int64)))
     stacked = GoldenReference(np.zeros((4, 1, 2), dtype=np.int64), cfg)
-    with pytest.raises(ValueError, match=r"golden reference, got shape \(4, 1, 2\)"):
-        run_session(array, stacked)
+    sites = fault_sites(cfg, [FaultSite(RegClass.OUTPUT, 0, 1, 0, 3, 1)])
+    for session in (run_session, lambda array, golden: fault_sessions(array, sites, golden)):
+        with pytest.raises(ValueError, match=r"golden reference, got shape \(4, 1, 2\)"):
+            session(array, stacked)
 
 
 @pytest.mark.parametrize("field, value", [("mode", "1:4"), ("rows", 4), ("acc_width", 17)])
@@ -306,6 +319,8 @@ def test_golden_for_another_config_rejected(field, value):
     mismatch = f"computed for another array: {field} {value!r}, not {getattr(cfg, field)!r}$"
     with pytest.raises(ValueError, match=mismatch):
         run_session(array, golden)
+    with pytest.raises(ValueError, match=mismatch):
+        fault_sessions(array, fault_sites(cfg, None), golden)
 
 
 # -- fault signatures --------------------------------------------------------------
