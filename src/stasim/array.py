@@ -277,6 +277,16 @@ def _masked(masks, cls: RegClass, values: np.ndarray, at=...) -> np.ndarray:
     return (values & and_mask[at]) | or_mask[at]
 
 
+def _element_weights(weights: np.ndarray, sel: np.ndarray, m: int) -> np.ndarray:
+    """Per-element weights (..., m) of active slots' ``weights`` and selections ``sel`` (..., k).
+
+    Each element's weight is the sum of the weights of the slots that select
+    it, so one product per element covers every slot; a selection past the
+    block matches no element.
+    """
+    return (weights[..., None] * (sel[..., None] == np.arange(m))).sum(axis=-2)
+
+
 def fault_sites(config: ArrayConfig, faults: Optional[Iterable[FaultSite]] = None) -> np.ndarray:
     """The (faults, 6) table of single faults that ``TensorArray.stream_faults`` takes.
 
@@ -382,7 +392,7 @@ class TensorArray:
 
     # -- datapath ----------------------------------------------------------
 
-    def _multiply(self, masks, regs, act: np.ndarray, test4_mask) -> np.ndarray:
+    def _multiply(self, masks, regs, act: np.ndarray, test4_mask, alike=False) -> np.ndarray:
         """Multiply phase on read activation blocks ``act`` (..., rows, cols, m).
 
         ``regs`` is a (weights, indexes) pair of register files, (rows, cols,
@@ -391,19 +401,37 @@ class TensorArray:
         (or the test-4 forced pattern) selects; an index past the block
         selects nothing.  ``test4_mask`` is one flag or one per wave, since
         waves never interact.  Returns the per-TPE sums.
+
+        With ``alike``, ``act`` is (waves, ..., rows, m): every column of a
+        row reads the same block, so each selection's blocks, as (..., rows,
+        waves, m), meet its per-element weights, as (..., rows, m, cols), in
+        one integer ``np.matmul``.  ``step`` and passes with activation
+        faults take the ``einsum`` form, which keeps the stepper a reference
+        independent of the matmul one.
         """
         cfg = self.config
         k = cfg.active_slots
         weight_file, index_file = regs
-        weights = _masked(masks, RegClass.WEIGHT, weight_file)[..., :k, None]
+        weights = _masked(masks, RegClass.WEIGHT, weight_file)[..., :k]
+        stored = _masked(masks, RegClass.WEIGHT_INDEX, index_file)
 
         def element_weights(sel):
-            # Each element's weight is the sum of the weights of the slots
-            # that select it, so one product per element covers every slot.
-            return (weights * (sel[..., :k, None] == np.arange(cfg.m))).sum(axis=-2)
+            return _element_weights(weights, sel[..., :k], cfg.m)
 
         flags = np.asarray(test4_mask)
-        stored = _masked(masks, RegClass.WEIGHT_INDEX, index_file)
+        if alike:
+            # Integer matmul wraps like einsum.  Per-wave flags that differ
+            # pick per wave between the two selections' products.
+            blocks = np.moveaxis(act, 0, -2)
+
+            def contract(sel):
+                return np.matmul(blocks, element_weights(sel).swapaxes(-1, -2))
+
+            if flags.all() or not flags.any():
+                out = contract(self._forced_sel if flags.all() else stored)
+            else:
+                out = np.where(flags[:, None], contract(self._forced_sel), contract(stored))
+            return np.moveaxis(out, -2, 0)
         per_element = element_weights(self._forced_sel if flags.all() else stored)
         if flags.any() and not flags.all():  # per-wave flags that differ
             per_wave = flags.reshape(flags.shape + (1,) * (act.ndim - 1))
@@ -506,15 +534,26 @@ class TensorArray:
         cols, n); ``masks`` are read as ``_masked`` reads them.  An axis of
         size 1 after the waves spreads to the tile axis of stacked
         registers.  Returns the south sums; no register is written.
+
+        The column and row loops run only for a masked class.  Without an
+        activation mask every column reads the west block, which
+        ``_multiply`` contracts by matmul; without an output mask the
+        cascade adds modulo 2**acc_width, so it is one sum over rows and
+        one wrap.
         """
         cfg = self.config
-        for j in range(cfg.cols):
-            # The hop east reads this column's register, stuck bits included.
-            act = _masked(masks, RegClass.ACTIVATION, act, np.s_[..., j, :])
-            if j == 0:  # the first read fixes the tile axis
-                seen = np.empty(act.shape[:-1] + (cfg.cols, cfg.m), dtype=np.int64)
-            seen[..., j, :] = act
-        contrib = self._multiply(masks, regs, seen, test4_mask)
+        if RegClass.ACTIVATION in masks:
+            for j in range(cfg.cols):
+                # The hop east reads this column's register, stuck bits included.
+                act = _masked(masks, RegClass.ACTIVATION, act, np.s_[..., j, :])
+                if j == 0:  # the first read fixes the tile axis
+                    seen = np.empty(act.shape[:-1] + (cfg.cols, cfg.m), dtype=np.int64)
+                seen[..., j, :] = act
+            contrib = self._multiply(masks, regs, seen, test4_mask)
+        else:
+            contrib = self._multiply(masks, regs, act, test4_mask, alike=True)
+        if RegClass.OUTPUT not in masks:
+            return wrap_signed(psum + contrib.sum(axis=-2), cfg.acc_width)
 
         # Partial sums cascade south; the row below reads each row's output
         # register, stuck bits included.
@@ -593,7 +632,7 @@ class TensorArray:
         # Selections (rows, cols, n) and per-element weights (rows, m, cols)
         # without and with the test-4 override, then per wave.
         sel = np.stack([indexes, self._forced_sel])
-        pe = (values[..., :k, None] * (sel[..., :k, None] == np.arange(m))).sum(-2)
+        pe = _element_weights(values[..., :k], sel[..., :k], m)
         forced = np.broadcast_to(flags, (len(act),)).astype(np.intp)
         sel, pe, forced = sel[forced], pe.swapaxes(-1, -2)[forced], forced[:, None]
         prefix = np.cumsum(np.einsum("xrm,xrmc->xrc", act, pe), axis=1)

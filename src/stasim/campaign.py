@@ -156,6 +156,8 @@ def _evaluate_faults(
         harmless[live] = 1
         step = array.config.per_step(len(harness))
         for ti, tile in enumerate(tiles):
+            if not len(live):
+                break
             array.load_weights(tile)
             for ids in np.split(live, range(step, len(live), step)):
                 clean, got = array.stream_faults(sites[ids], harness[:, ti])

@@ -5,11 +5,13 @@ rows by cols columns, zero-padded at the edges).  Each tile is loaded,
 optionally self-tested with one session, then streamed with the activation
 rows; the cycle accounting charges exactly that per tile.  The host runs a
 layer's tiles as a stack: the layer is packed once, and each chunk of tiles
-(as many as ``ArrayConfig.per_pass`` allows) shares one session pass and
-one compute pass of the wave engine, the stacked tiles standing in for the
-loaded registers.  Partial products of the K-direction tiles are accumulated
-host-side at the accumulator width; every value-0 pad is mathematically
-inert, so padded and unpadded runs agree bit for bit on the real region.
+shares one pass of the wave engine, the stacked tiles standing in for the
+loaded registers.  ``ArrayConfig.per_pass`` sizes the chunks for the pass's
+waves: the layer's sessions (four waves) share as many passes as that
+allows, and so do its compute streams (X waves); reports keep tile order.
+Partial products of the K-direction tiles are accumulated host-side at the
+accumulator width; every value-0 pad is mathematically inert, so padded and
+unpadded runs agree bit for bit on the real region.
 """
 
 from __future__ import annotations
@@ -117,14 +119,18 @@ def tiled_matmul(
                 for part in (packed.values, packed.indexes)
             )
             blocks = a_pad.reshape(x_rows, k_tiles, r, config.m)
-            # Budgeted on the longer pass: the session's four waves or X.
-            step = config.per_pass(max(x_rows, 4))
-            for start in range(0, tiles, step):
-                chunk = np.s_[start : start + step]
-                ki, ci = np.divmod(np.arange(tiles)[chunk], c_tiles)
-                if testing:
+
+            def chunks(waves):  # tile slices, as many as a pass of ``waves`` carries
+                step = config.per_pass(waves)
+                for start in range(0, tiles, step):
+                    chunk = np.s_[start : start + step]
+                    yield chunk, *np.divmod(np.arange(tiles)[chunk], c_tiles)
+
+            if testing:  # a session is four waves
+                for chunk, ki, ci in chunks(4):
                     ids = [f"layer{li}/k{k}/c{c}" for k, c in zip(ki.tolist(), ci.tolist())]
                     reports += stacked_sessions(array, values[chunk], indexes[chunk], ids)
+            for chunk, ki, ci in chunks(x_rows):
                 out = array.stream_tiles(values[chunk], indexes[chunk], blocks[:, ki])
                 np.add.at(acc, (slice(None), ci), out)
         stats.load_cycles += tiles * r

@@ -112,6 +112,22 @@ def test_output_and_edge_faults_always_detected():
     assert report.classification_correct == len(faults)
 
 
+def test_walks_stop_once_no_fault_is_live():
+    """A fault detected at tile 0 leaves neither walk anything to load."""
+    cfg = ArrayConfig(rows=2, cols=2)
+    tiles = random_tiles(np.random.default_rng(421), cfg, 6)
+    fault = FaultSite(RegClass.OUTPUT, 0, 0, 0, 20, 1)
+    counted = {
+        name: patch.object(TensorArray, name, autospec=True, side_effect=getattr(TensorArray, name))
+        for name in ("load_weights", "stream_faults")
+    }
+    with counted["load_weights"] as loads, counted["stream_faults"] as streams:
+        report = run_campaign(tiles, cfg, faults=[fault], check_harmless=True)
+    assert report.detected == 1
+    assert report.cumulative_curve == [1.0] * 6
+    assert (loads.call_count, streams.call_count) == (1, 1)
+
+
 def test_campaign_is_deterministic():
     rng = np.random.default_rng(409)
     tiles = random_tiles(rng, TINY, 2, magnitude=100)

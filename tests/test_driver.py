@@ -320,6 +320,33 @@ def test_stacked_layers_match_per_tile_driver(
     assert [r.to_json() for r in reports] == [r.to_json() for r in want_reports]
 
 
+@pytest.mark.parametrize(
+    "shape, testing, passes",
+    [
+        # 8 tiles of 256-row streams: one session pass, 8 compute passes.
+        ((256, 64, 32), True, 1 + 8),
+        ((256, 64, 32), False, 8),
+        # 128 tiles of 8-row streams: 4 session passes of 32 tiles, 8
+        # compute passes of 16.
+        ((8, 256, 128), True, 4 + 8),
+    ],
+)
+def test_passes_are_sized_by_their_own_waves(shape, testing, passes):
+    """Session and compute passes each carry as many tiles as their waves allow."""
+    cfg = ArrayConfig()
+    workload = synthetic_workload(np.random.default_rng(331), [shape])
+    with patch.object(
+        TensorArray, "stream_tiles", autospec=True, side_effect=TensorArray.stream_tiles
+    ) as stream_tiles:
+        results, _, reports = tiled_matmul(workload, cfg, testing)
+    assert stream_tiles.call_count == passes
+    layer = workload.layers[0]
+    assert np.array_equal(results[0], pruned_oracle(layer.a, layer.w, cfg))
+    tiles = -(-shape[1] // cfg.block_rows) * -(-shape[2] // cfg.cols)
+    assert len(reports) == (tiles if testing else 0)
+    assert not any(r.detected for r in reports)
+
+
 def test_layers_without_tiles():
     """K = 0 or C = 0 leaves no tile to run; X = 0 still loads, tests and
     drains every tile."""

@@ -8,6 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stasim.array import ArrayConfig, FaultSite, RegClass, TensorArray
+from stasim.selftest import (
+    EXPECTED_COMPARED,
+    compute_golden,
+    run_session,
+    session_vectors,
+    stacked_sessions,
+)
 from stasim.sparsity import SparseWeightTile
 
 
@@ -216,3 +223,74 @@ def test_stacked_tiles_reject_bad_shapes():
         with pytest.raises(ValueError, match=bad):
             array.stream_tiles(values, indexes, blocks)
 
+
+
+#: Edge geometries for the mask-branch diff: a 1x1 grid with m = n = 1, a
+#: single column, a single row with a gated slot, and the widest words.
+BRANCH_CONFIGS = [
+    ArrayConfig(rows=1, cols=1, m=1, n=1, data_width=30, acc_width=62),
+    ArrayConfig(rows=3, cols=1, m=4, n=2, data_width=30, acc_width=30),
+    ArrayConfig(rows=1, cols=3, m=3, n=2, data_width=16, acc_width=62, mode="1:3"),
+    ArrayConfig(rows=2, cols=5, m=4, n=2, data_width=30, acc_width=62),
+]
+
+#: The faulted classes that choose the engine's branches: the activation
+#: mask runs the column loop, the output mask the row cascade.
+MASKED = {
+    "none": (),
+    "activation": (RegClass.ACTIVATION,),
+    "output": (RegClass.OUTPUT,),
+    "both": (RegClass.ACTIVATION, RegClass.OUTPUT),
+}
+
+
+def stepped_per_wave(array, tile, blocks, norths, flags):
+    """The stepper's sums on a copy of ``array`` with ``tile`` loaded, one flag per wave."""
+    ref = copy.deepcopy(array)
+    ref.load_weights(tile)
+    off, on = (stepped_stream(copy.deepcopy(ref), blocks, norths, f)[0] for f in (False, True))
+    return np.where(np.asarray(flags)[:, None], on, off)
+
+
+@pytest.mark.parametrize("classes", MASKED.values(), ids=MASKED.keys())
+@pytest.mark.parametrize("cfg", BRANCH_CONFIGS, ids=lambda c: f"{c.rows}x{c.cols}-{c.mode}")
+def test_mask_branches_match_stepper(cfg, classes):
+    """Each combination of activation and output masks, through ``stream``,
+    ``stream_tiles`` and a session's per-wave flags, against the stepper."""
+    rng = np.random.default_rng(cfg.rows * 100 + cfg.cols * 10 + len(classes))
+    array = TensorArray(cfg)
+    for cls in classes:
+        array.inject(random_fault(rng, cfg, cls))
+    assert set(array._masks) == set(classes)
+    tiles = [random_tile(rng, cfg) for _ in range(2)]
+    d_lo, d_hi = -(1 << (cfg.data_width - 1)), 1 << (cfg.data_width - 1)
+    a_lo, a_hi = -(1 << (cfg.acc_width - 1)), 1 << (cfg.acc_width - 1)
+    x_rows = 5
+    blocks = rng.integers(2 * d_lo, 2 * d_hi, size=(x_rows, len(tiles), cfg.rows, cfg.m))
+    norths = rng.integers(2 * a_lo, 2 * a_hi, size=x_rows)
+    values = np.stack([tile.values for tile in tiles])
+    indexes = np.stack([tile.indexes for tile in tiles])
+
+    for flags in (np.zeros(x_rows, bool), np.ones(x_rows, bool), np.arange(x_rows) % 2 == 1):
+        stacked = array.stream_tiles(values, indexes, blocks, norths, flags)
+        for t, tile in enumerate(tiles):
+            want = stepped_per_wave(array, tile, blocks[:, t], norths, flags)
+            array.load_weights(tile)
+            # A uniform flag also goes in as one flag.
+            one = flags[0] if flags.all() or not flags.any() else flags
+            got, _ = array.stream(blocks[:, t], norths, one)
+            assert np.array_equal(got, want), (flags, t)
+            assert np.array_equal(stacked[:, t], want), (flags, t)
+
+    # A session: tests 1-3 read the index registers, test 4 the override.
+    session = (
+        np.stack([np.tile(v, (cfg.rows, 1)) for v in session_vectors(cfg.m)]),
+        np.array(EXPECTED_COMPARED, dtype=np.int64),
+        np.arange(4) == 3,
+    )
+    reports = stacked_sessions(array, values, indexes, ["t0", "t1"])
+    for t, tile in enumerate(tiles):
+        want = stepped_per_wave(array, tile, *session)
+        array.load_weights(tile)
+        assert np.array_equal(run_session(array, compute_golden(tile, cfg)).raw, want), t
+        assert np.array_equal(reports[t].raw, want), t
