@@ -282,9 +282,10 @@ def _element_weights(weights: np.ndarray, sel: np.ndarray, m: int) -> np.ndarray
 
     Each element's weight is the sum of the weights of the slots that select
     it, so one product per element covers every slot; a selection past the
-    block matches no element.
+    block matches no element.  That sum is one integer ``np.matmul``: the
+    weights as (..., 1, k) times the one-hot selections (..., k, m).
     """
-    return (weights[..., None] * (sel[..., None] == np.arange(m))).sum(axis=-2)
+    return np.matmul(weights[..., None, :], sel[..., None] == np.arange(m))[..., 0, :]
 
 
 def fault_sites(config: ArrayConfig, faults: Optional[Iterable[FaultSite]] = None) -> np.ndarray:

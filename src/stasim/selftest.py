@@ -260,18 +260,28 @@ def _session_stream(rows: int, m: int) -> tuple[np.ndarray, ...]:
     return stream
 
 
+@lru_cache(maxsize=16)
+def _clean_verdicts(cols: int) -> tuple[Verdict, ...]:
+    """A clean session's all-``ok`` verdicts, one tuple shared: verdicts are frozen."""
+    return tuple(Verdict(j, VerdictKind.OK) for j in range(cols))
+
+
 def _reports(raw, compared, golden: GoldenReference, tile_ids) -> list[TestReport]:
-    """One report per session of sums (4, sessions, cols), classified at once."""
+    """One report per session of sums (4, sessions, cols), classified at once.
+
+    Only detecting sessions build their verdicts; clean ones share one tuple.
+    """
     kinds, windows = classify(raw, compared, golden)
     # Every deviating column has a verdict.
     detected = (kinds != _OK).any(axis=-1).tolist()
+    clean = _clean_verdicts(golden.cols)
     return [
         TestReport(
             tile_id=tile_id,
             raw=tuple(map(tuple, raw_rows)),
             compared=tuple(map(tuple, compared_rows)),
             detected=hit,
-            verdicts=session_verdicts(session_kinds, session_windows),
+            verdicts=session_verdicts(session_kinds, session_windows) if hit else clean,
         )
         for tile_id, raw_rows, compared_rows, hit, session_kinds, session_windows in zip(
             tile_ids,

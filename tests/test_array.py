@@ -5,9 +5,18 @@ from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stasim.arith import Word, force_bit, wrap_signed
-from stasim.array import ArrayConfig, FaultSite, RegClass, TensorArray, fault_sites
+from stasim.array import (
+    ArrayConfig,
+    FaultSite,
+    RegClass,
+    TensorArray,
+    _element_weights,
+    fault_sites,
+)
 from stasim.campaign import enumerate_faults, random_tiles, run_campaign
 from stasim.driver import Layer, Workload, tiled_matmul
 from stasim.sparsity import SparseWeightTile, densify, pack_tile
@@ -586,3 +595,60 @@ def test_masked_reads_match_scalar_forcing(cfg):
         for cls, regs in array.registers().items():
             assert np.array_equal(regs, clean[cls])
     assert seen_sign == {0, 1}
+
+
+def scattered_element_weights(weights, sel, m):
+    """Reference per-element weights: each slot's weight added onto the
+    element it selects, one ``np.add.at`` per slot; past the block, none."""
+    weights, sel = np.broadcast_arrays(weights, sel)
+    k = weights.shape[-1]
+    flat_w, flat_s = weights.reshape(-1, k), sel.reshape(-1, k)
+    out = np.zeros((len(flat_w), m), dtype=np.int64)
+    for slot in range(k):
+        hit = flat_s[:, slot] < m
+        np.add.at(out, (np.flatnonzero(hit), flat_s[hit, slot]), flat_w[hit, slot])
+    return out.reshape(weights.shape[:-1] + (m,))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    m=st.integers(1, 6),
+    data=st.data(),
+    lead=st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)),
+    shared_sel=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_element_weights_match_a_per_slot_scatter(m, data, lead, shared_sel, seed):
+    """``_element_weights`` on a (tiles, rows, cols, k) stack of 30-bit weights,
+    selections up to the index width's top pattern and duplicates included;
+    with ``shared_sel`` one (rows, cols, k) selection serves every tile, as
+    ``_multiply`` passes the test-4 pattern."""
+    n = data.draw(st.integers(1, m), label="n")
+    k = data.draw(st.integers(1, n), label="k")
+    cfg = ArrayConfig(m=m, n=n, data_width=30, acc_width=62)
+    rng = np.random.default_rng(seed)
+    shape = lead + (k,)
+    half = 1 << 29
+    extremes = np.array([-half, half - 1, -1, 0, 1])
+    weights = np.where(
+        rng.random(shape) < 0.5,
+        rng.choice(extremes, shape),
+        rng.integers(-half, half, shape),
+    )
+    # A stuck sign bit sign-extends the read weight.
+    and_bits, or_bits = FaultSite(RegClass.WEIGHT, 0, 0, 0, 29, 1).mask_bits(cfg)
+    weights = np.where(rng.random(shape) < 0.25, (weights & and_bits) | or_bits, weights)
+    sel_shape = shape[1:] if shared_sel else shape
+    sel = rng.integers(0, 1 << cfg.index_width, sel_shape)
+    got = _element_weights(weights, sel, m)
+    assert got.shape == shape[:-1] + (m,)
+    assert np.array_equal(got, scattered_element_weights(weights, sel, m))
+
+
+def test_element_weights_by_hand():
+    """Two slots on one element add; a selection past the block adds nothing."""
+    weights = np.array([[5, 7], [5, 7], [-3, 4]])
+    sel = np.array([[1, 1], [3, 0], [2, 2]])
+    want = [[0, 12, 0], [7, 0, 0], [0, 0, 1]]
+    for element_weights in (_element_weights, scattered_element_weights):
+        assert element_weights(weights, sel, 3).tolist() == want

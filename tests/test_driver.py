@@ -1,5 +1,7 @@
 """Unit tests for tiled matmul orchestration and cycle accounting."""
 
+import hashlib
+import json
 from unittest.mock import patch
 
 import numpy as np
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 import stasim.array
 from stasim.arith import wrap_signed
 from stasim.array import ArrayConfig, FaultSite, RegClass, TensorArray
+from stasim.cli import main, parse_fault_spec
 from stasim.driver import (
     CycleStats,
     Layer,
@@ -19,7 +22,7 @@ from stasim.driver import (
     tiled_matmul,
 )
 from stasim.selftest import compute_golden, run_session
-from stasim.sparsity import densify, pack_tile
+from stasim.sparsity import densify, pack_tile, write_matrix_csv
 from test_stream import configs, random_fault
 
 
@@ -374,3 +377,60 @@ def test_layers_without_tiles():
         "layer1/k0/c0", "layer1/k0/c1", "layer1/k1/c0", "layer1/k1/c1"
     ]
     assert not any(r.detected for r in reports)
+
+
+def pinned_layer():
+    """The 8x256 by 256x128 layer the report bytes are pinned on: 128 tiles."""
+    return synthetic_workload(np.random.default_rng(5), [(8, 256, 128)])
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_matmul_cli_artifacts_are_pinned(tmp_path, capsys):
+    """The result CSV, ``--stats`` and ``--reports`` bytes of a tested matmul."""
+    layer = pinned_layer().layers[0]
+    a, w, out = tmp_path / "a.csv", tmp_path / "w.csv", tmp_path / "r.csv"
+    stats, reports = tmp_path / "s.json", tmp_path / "reports.json"
+    write_matrix_csv(a, layer.a)
+    write_matrix_csv(w, layer.w)
+    argv = ["matmul", str(a), str(w), "-o", str(out), "--stats", str(stats)]
+    assert main(argv + ["--reports", str(reports)]) == 0
+    assert "128 tiles" in capsys.readouterr().out
+    assert [sha256(path.read_bytes()) for path in (out, stats, reports)] == [
+        "25dd129374b88d46932aedb51d90eaaf77bc646cb33f05c96a24fdb1612fc7a3",
+        "2274b689ed0c80ed4ea356e40562950c00c7be1de6acf7c3b0ec34bb5e8e3a31",
+        "9505827c9041adfc010e263ae39963d0b215c39ae40b3ebc429aee576eed8929",
+    ]
+
+
+@pytest.mark.parametrize(
+    "fault, detected, reports_sha256",
+    [
+        # Half the sessions detect.
+        (
+            "weight:2:3:1:5:0",
+            64,
+            "5b8d6fa8f4efe64f7df1135b97562e2f6fd24ad1706f91f06c9692bf3b35a648",
+        ),
+        (
+            "weight_index:0:0:0:1:1",
+            110,
+            "4fb27bafd22438005ebfa138bd083fd341544b52b1df46aa7c445db18c0f9237",
+        ),
+        # Faulty, but no session sees it: every report is clean.
+        (
+            "activation:1:2:0:0:1",
+            0,
+            "461509b79ddbb67ec3ba9371b23ad5dca1de64ed63e2ec7b2d025e8a14c33f04",
+        ),
+    ],
+)
+def test_faulty_matmul_reports_are_pinned(fault, detected, reports_sha256):
+    """Report JSON of a stack where some sessions detect and some do not."""
+    faults = (parse_fault_spec(fault),)
+    _, _, reports = tiled_matmul(pinned_layer(), ArrayConfig(), faults=faults)
+    assert sum(r.detected for r in reports) == detected
+    payload = json.dumps([r.to_dict() for r in reports], indent=2, sort_keys=True)
+    assert sha256(payload.encode()) == reports_sha256

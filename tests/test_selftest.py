@@ -8,6 +8,7 @@ import pytest
 
 from stasim.arith import Word, bit_not, is_bitwise_complement, wrap_signed
 from stasim.array import ArrayConfig, FaultSite, RegClass, TensorArray, fault_sites
+from stasim.driver import synthetic_workload
 from stasim.selftest import (
     EXPECTED_COMPARED,
     GoldenReference,
@@ -549,3 +550,31 @@ def test_report_serialization_round_trip():
             assert vd["window"] == list(v.window)
         else:
             assert "window" not in vd
+
+
+def test_mixed_clean_and_detected_stack_matches_one_session_at_a_time():
+    """A stack where some sessions detect and some do not: every report is
+    ``run_session``'s with its tile loaded, and every clean one's verdicts
+    are a clean session's all-``ok`` verdicts."""
+    cfg = ArrayConfig()
+    layer = synthetic_workload(np.random.default_rng(5), [(8, 256, 128)]).layers[0]
+    br, cols = cfg.tile_shape
+    tiles = [
+        cfg.pack(layer.w[ki : ki + br, ci : ci + cols])
+        for ki in range(0, layer.w.shape[0], br)
+        for ci in range(0, layer.w.shape[1], cols)
+    ]
+    array = TensorArray(cfg)
+    array.inject(FaultSite(RegClass.WEIGHT, 2, 3, 1, 5, 0))
+    ids = [f"t{t}" for t in range(len(tiles))]
+    values = np.stack([tile.values for tile in tiles])
+    indexes = np.stack([tile.indexes for tile in tiles])
+    reports = stacked_sessions(array, values, indexes, ids)
+    assert sum(r.detected for r in reports) == 64
+    ok = session_verdicts(np.zeros(cols, dtype=int), [-1, -1, -1])
+    for tile, tile_id, report in zip(tiles, ids, reports, strict=True):
+        array.load_weights(tile)
+        want = run_session(array, compute_golden(tile, cfg), tile_id=tile_id)
+        assert report.to_json() == want.to_json()
+        if not report.detected:
+            assert report.verdicts == ok
