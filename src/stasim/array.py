@@ -25,9 +25,10 @@ writes no register: ``step``, the one clocked model, latches what
 
 ``stream_tiles`` streams a stack of packed tiles in one pass, tile t standing
 in for the loaded weights, which is what the tiled driver runs on.  Campaigns
-run on ``stream_faults``: on the loaded tile of a fault-free array, it derives
-every single fault's sums in closed form from one fault-free pass.  Callers
-cut their input to ``per_pass`` tiles or ``per_step`` faults a call.
+run on ``stream_faults``: on a fault-free array and the same kind of stack, it
+derives every single fault's sums on every tile in closed form from one
+fault-free pass.  Callers cut their input to ``per_pass`` tiles or
+``per_step`` (fault, tile) pairs a call.
 """
 
 from __future__ import annotations
@@ -44,10 +45,10 @@ from stasim.arith import check_signed_range, wrap_signed
 from stasim.sparsity import SparseWeightTile, check_entries, pack_tile
 
 #: Elements a temporary may hold: tiles x waves x rows x cols x m in a pass of
-#: the wave engine, waves x faults x cols in a ``stream_faults`` call on one
-#: tile.  ``per_pass`` and ``per_step`` size the passes and calls by it, which
-#: bounds memory whatever the array size, fault count or layer size.
-LANE_BUDGET = 1 << 15
+#: the wave engine, waves x tiles x faults x cols in a ``stream_faults`` call.
+#: ``per_pass`` and ``per_step`` size the passes and calls by it, which bounds
+#: memory whatever the array size, fault count or layer size.
+ELEMENT_BUDGET = 1 << 15
 
 
 class RegClass(str, Enum):
@@ -159,13 +160,16 @@ class ArrayConfig:
     def per_pass(self, waves: int) -> int:
         """Stacked tiles a pass of ``waves`` waves of the wave engine may carry.
 
-        At least one, whatever ``LANE_BUDGET`` allows.
+        At least one, whatever ``ELEMENT_BUDGET`` allows.
         """
-        return max(1, LANE_BUDGET // (max(waves, 1) * self.rows * self.cols * self.m))
+        return max(1, ELEMENT_BUDGET // (max(waves, 1) * self.rows * self.cols * self.m))
 
     def per_step(self, waves: int) -> int:
-        """Faults a ``stream_faults`` call over ``waves`` waves of one tile may carry (>= 1)."""
-        return max(1, LANE_BUDGET // (max(waves, 1) * self.cols))
+        """(fault, tile) pairs a ``stream_faults`` call over ``waves`` waves may carry.
+
+        At least one, whatever ``ELEMENT_BUDGET`` allows.
+        """
+        return max(1, ELEMENT_BUDGET // (max(waves, 1) * self.cols))
 
     def pack(self, dense) -> SparseWeightTile:
         """Prune and pack a dense weight matrix for this array.
@@ -305,16 +309,22 @@ def fault_sites(config: ArrayConfig, faults: Optional[Iterable[FaultSite]] = Non
         ]).T
     else:
         faults = list(faults)  # both checks read it, a one-shot iterable too
-        cells = [(f.reg_class, f.row, f.col, f.element, f.bit, f.stuck) for f in faults]
+        cells = [v for f in faults for v in (f.reg_class, f.row, f.col, f.element, f.bit, f.stuck)]
+        classes = cells[::6]
+        plain = set(map(type, classes)) <= {RegClass} and set(map(type, cells)) <= {RegClass, int}
+        if plain:
+            cells[::6] = [CLASS_CODE[c] for c in classes]
+            try:
+                fields = np.fromiter(cells, np.int64, len(cells)).reshape(-1, 6)
+            except (OverflowError, ValueError):  # an int past int64, or a class for a field
+                plain = False
         limits = np.array([spec.shape + (spec.width, 2) for spec in specs])
-        try:
-            fields = np.array([(CLASS_CODE[c], *f) for c, *f in cells], np.int64).reshape(-1, 6)
-            plain = {tuple(map(type, cell)) for cell in cells} <= {(RegClass,) + (int,) * 5}
-        except (KeyError, OverflowError, TypeError, ValueError):
-            plain = False
         if not plain or ((fields[:, 1:] < 0) | (fields[:, 1:] >= limits[fields[:, 0]])).any():
             for fault in faults:  # names the first bad field, or passes them all
                 fault.validate(config)
+            # All valid, so the other types are NumPy integers or a bool polarity.
+            cells[::6] = [CLASS_CODE[c] for c in classes]
+            fields = np.array(cells, np.int64).reshape(-1, 6)
     code, row, col, element, bit, stuck = fields.T
     width, signed = np.array([(spec.width, spec.signed) for spec in specs])[code].T
     # ``mask_bits``'s rule: a stuck sign bit forces its sign extension too.
@@ -579,6 +589,24 @@ class TensorArray:
         south = self._wavefront(self._masks, self._loaded(), act, psum, flags)
         return south, len(south) + cfg.rows + cfg.cols - 1
 
+    def _tile_stack(self, values, indexes) -> tuple[np.ndarray, np.ndarray]:
+        """(tiles, rows, cols, n) value and index stacks as int64, checked.
+
+        Entries are checked as ``SparseWeightTile`` checks a tile's.
+        """
+        cfg = self.config
+        regs = np.asarray(values), np.asarray(indexes)
+        for name, part in zip(("values", "indexes"), regs):
+            if part.ndim != 4 or part.shape[1:] != (cfg.rows, cfg.cols, cfg.n):
+                raise ValueError(
+                    f"tile {name} must have shape (tiles, {cfg.rows}, {cfg.cols}, "
+                    f"{cfg.n}), got {part.shape}"
+                )
+        if regs[0].shape != regs[1].shape:
+            raise ValueError(f"{len(regs[0])} tile values for {len(regs[1])} tile indexes")
+        check_entries(*regs, cfg.m, cfg.data_width)
+        return regs[0].astype(np.int64, copy=False), regs[1].astype(np.int64, copy=False)
+
     def stream_tiles(
         self, values, indexes, blocks, north_values=None, test4_mask=False
     ) -> np.ndarray:
@@ -593,63 +621,102 @@ class TensorArray:
         what ``stream`` returns with tile t loaded; no tile need be loaded.
         Entries are checked as ``SparseWeightTile`` checks a tile's.
         """
-        cfg = self.config
-        regs = np.asarray(values), np.asarray(indexes)
-        for name, part in zip(("values", "indexes"), regs):
-            if part.ndim != 4 or part.shape[1:] != (cfg.rows, cfg.cols, cfg.n):
-                raise ValueError(
-                    f"tile {name} must have shape (tiles, {cfg.rows}, {cfg.cols}, "
-                    f"{cfg.n}), got {part.shape}"
-                )
-        if regs[0].shape != regs[1].shape:
-            raise ValueError(f"{len(regs[0])} tile values for {len(regs[1])} tile indexes")
-        check_entries(*regs, cfg.m, cfg.data_width)
-        regs = tuple(part.astype(np.int64, copy=False) for part in regs)
+        regs = self._tile_stack(values, indexes)
         act, psum, flags = self._wave_inputs(
             blocks, north_values, test4_mask, lead=regs[0].shape[:1]
         )
         return self._wavefront(self._masks, regs, act, psum[:, None], flags)
 
-    def stream_faults(self, sites, blocks, north_values=None, test4_mask=False):
-        """``stream`` fault-free and once per fault of a ``fault_sites`` table.
+    def _fault_table(self, sites) -> np.ndarray:
+        """A ``fault_sites`` table whose cells all lie in this array.
 
-        Returns clean (X, cols) and sums (X, faults, cols), where sums[:, f] is
-        ``stream`` with fault f alone injected.  Below a faulted cell the
-        datapath only adds modulo 2**acc_width, so the fault-free per-element
-        weights PE and row prefix sums P give each sum: an activation fault
-        adds (a' - a) * PE from its column east; a weight or index fault on an
-        active slot, its product's change (an index not on test-4 waves, one
-        past the block selecting 0); an output fault at row r gives mask(P[r])
-        + P[last] - P[r]; an edge fault, nothing.  The array must hold no
-        injected fault: several faults at once stay on the wave engine.
-        Callers cut tables into calls of ``ArrayConfig.per_step`` faults.
+        A table built for a larger array fails with a ``ValueError`` naming
+        its first row whose class code, row, col or element this array
+        lacks.  The AND/OR words are not checked.
         """
-        values, indexes = self._loaded()
+        sites = np.asarray(sites)
+        if sites.ndim != 2 or sites.shape[1] != 6 or sites.dtype.kind not in "iu":
+            raise ValueError(
+                f"fault table must be (faults, 6) integers, got shape {sites.shape} "
+                f"of dtype {sites.dtype}"
+            )
+        sites = sites.astype(np.int64, copy=False)
+        specs = list(self.config.reg_specs.items())
+        # Read unsigned, a negative code or cell exceeds every limit.
+        unsigned = sites[:, :4].view(np.uint64)
+        known = unsigned[:, 0] < len(specs)
+        shapes = np.array([spec.shape for _, spec in specs], dtype=np.uint64)
+        if known.all() and not (unsigned[:, 1:] >= shapes.take(unsigned[:, 0], axis=0)).any():
+            return sites
+        outside = unsigned[:, 1:] >= shapes.take(np.where(known, unsigned[:, 0], 0), axis=0)
+        f = int((~known | outside.any(axis=1)).argmax())
+        if not known[f]:
+            raise ValueError(
+                f"fault table row {f}: class code {sites[f, 0]} outside 0..{len(specs) - 1}"
+            )
+        field = int(outside[f].argmax())
+        cls, spec = specs[sites[f, 0]]
+        raise ValueError(
+            f"fault table row {f}: {('row', 'col', 'element')[field]} {sites[f, 1 + field]} "
+            f"outside 0..{spec.shape[field] - 1} for {cls.value}"
+        )
+
+    def stream_faults(
+        self, values, indexes, sites, blocks, north_values=None, test4_mask=False
+    ):
+        """``stream_tiles`` fault-free and once per fault of a ``fault_sites`` table.
+
+        The tile stacks, blocks, north values and test-4 flags are
+        ``stream_tiles``'s.  Returns clean (X, tiles, cols) and sums (X,
+        tiles, faults, cols), where sums[:, t, f] is ``stream`` with tile t
+        loaded and fault f alone injected; no tile need be loaded.  Below a
+        faulted cell the datapath only adds modulo 2**acc_width, so the
+        fault-free per-element weights PE and row prefix sums P give each
+        sum: an activation fault adds (a' - a) * PE from its column east; a
+        weight or index fault on an active slot, its product's change (an
+        index not on test-4 waves, one past the block selecting 0); an
+        output fault at row r gives mask(P[r]) + P[last] - P[r]; an edge
+        fault, nothing.  The array must hold no injected fault: several
+        faults at once stay on the wave engine.  The table's class codes,
+        rows, cols and elements must lie in this array (``ValueError``
+        naming the first row that does not).  Callers cut their work into
+        calls of ``ArrayConfig.per_step`` (fault, tile) pairs.
+        """
         if self._masks:
             raise ValueError("stream_faults needs an array without injected faults")
         cfg = self.config
-        act, psum, flags = self._wave_inputs(blocks, north_values, test4_mask)
-        waves, k, m = np.arange(len(act))[:, None], cfg.active_slots, cfg.m
-        # Selections (rows, cols, n) and per-element weights (rows, m, cols)
-        # without and with the test-4 override, then per wave.
-        sel = np.stack([indexes, self._forced_sel])
-        pe = _element_weights(values[..., :k], sel[..., :k], m)
-        forced = np.broadcast_to(flags, (len(act),)).astype(np.intp)
-        sel, pe, forced = sel[forced], pe.swapaxes(-1, -2)[forced], forced[:, None]
-        prefix = np.cumsum(np.einsum("xrm,xrmc->xrc", act, pe), axis=1)
-        prefix = wrap_signed(psum[:, :, None] + prefix, cfg.acc_width)
-        clean = prefix[:, -1]
+        values, indexes = self._tile_stack(values, indexes)
+        sites = self._fault_table(sites)
+        act, psum, flags = self._wave_inputs(
+            blocks, north_values, test4_mask, lead=values.shape[:1]
+        )
+        x_rows, k, m = len(act), cfg.active_slots, cfg.m
+        # The selections, without and with the test-4 override, and their
+        # per-element weights: (tiles, rows, cols, n) and (tiles, rows, m,
+        # cols) when every wave uses one, else one per wave in front.
+        forced = np.broadcast_to(flags, (x_rows,))
+        per_wave = 0 < np.count_nonzero(forced) < x_rows
+        sel = np.stack([indexes, np.broadcast_to(self._forced_sel, indexes.shape)])
+        sel = sel if per_wave else sel[int(forced.any())]
+        pe = _element_weights(values[..., :k], sel[..., :k], m).swapaxes(-1, -2)
+        if per_wave:
+            pick = forced.astype(np.intp)
+            sel, pe = sel[pick], pe[pick]
+        # Each TPE's products (X, tiles, rows, cols): a block (1, m) times
+        # its wave's per-element weights (m, cols) by integer ``np.matmul``.
+        products = np.matmul(act[..., None, :], pe)[..., 0, :]
+        clean = wrap_signed(psum[..., None] + products.sum(axis=2), cfg.acc_width)
+        waves, at = np.arange(x_rows)[:, None, None], np.arange(len(values))[:, None]
 
         code, row, col, element, and_bits, or_bits = sites.T
 
         def read(words, ids):  # stuck bits forced onto (..., faults) words
             return (words & and_bits[ids]) | or_bits[ids]
 
-        def product(r, weight, chosen):  # (X, faults), a chosen index past m picks 0
-            picked = act[waves, r, np.minimum(chosen, m - 1)]
-            return weight * np.where(chosen < m, picked, 0)
+        def picked(r, chosen):  # (X, tiles, faults) elements chosen, one past m picking 0
+            return np.where(chosen < m, act[waves, at, r, np.minimum(chosen, m - 1)], 0)
 
-        sums = np.repeat(clean[:, None], len(sites), axis=1)
+        sums = np.repeat(clean[:, :, None], len(sites), axis=2)
         for cls in list(RegClass)[:-1]:  # an edge fault changes no sum
             ids = np.flatnonzero(code == CLASS_CODE[cls])
             if cls in (RegClass.WEIGHT, RegClass.WEIGHT_INDEX):
@@ -658,20 +725,23 @@ class TensorArray:
                 continue
             r, c, e = row[ids], col[ids], element[ids]
             if cls is RegClass.ACTIVATION:
-                before, spread = act[:, r, e], np.arange(cfg.cols) >= c[:, None]
-                delta = (read(before, ids) - before)[..., None] * spread * pe[:, r, e]
+                before, spread = act[:, :, r, e], np.arange(cfg.cols) >= c[:, None]
+                delta = (read(before, ids) - before)[..., None] * spread * pe[..., r, e, :]
                 c = slice(None)  # every column, the ones west of the fault adding 0
-            elif cls is RegClass.OUTPUT:
-                before = prefix[:, r, c]
+                if ids[-1] - ids[0] == len(ids) - 1:  # a class-ordered table: whole rows
+                    ids = slice(ids[0], ids[-1] + 1)  # update faster by slice
+            elif cls is RegClass.OUTPUT:  # the row prefix sums P[r]
+                before = psum[..., None] + np.cumsum(products, axis=2)[:, :, r, c]
+                before = wrap_signed(before, cfg.acc_width)
                 delta = read(before, ids) - before
             else:
-                weight, chosen = values[r, c, e], sel[:, r, c, e]
+                weight, chosen = values[:, r, c, e], sel[..., r, c, e]
                 if cls is RegClass.WEIGHT:
-                    after = read(weight, ids), chosen
+                    delta = (read(weight, ids) - weight) * picked(r, chosen)
                 else:
-                    after = weight, np.where(forced, chosen, read(chosen, ids))
-                delta = product(r, *after) - product(r, weight, chosen)
-            sums[:, ids, c] += delta
+                    after = np.where(forced[:, None, None], chosen, read(chosen, ids))
+                    delta = weight * (picked(r, after) - picked(r, chosen))
+            sums[:, :, ids, c] += delta
         return clean, wrap_signed(sums, cfg.acc_width)
 
     def run_compute(self, a):

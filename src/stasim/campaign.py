@@ -10,11 +10,14 @@ Optionally the campaign checks, per detected fault, that the session verdict
 names the injected register class, and, per undetected fault, whether the
 fault is actually harmless (bit-identical matmul results on random inputs).
 
-Faults are one ``fault_sites`` table.  Each walk loads each tile once; one
-fault-free pass then gives the session sums of every fault still undetected
-in closed form (``fault_sessions``, with the tile's golden), and one
-``classify`` call judges those it detects.  All runs in the calling process.
-Outcomes fill one integer table, a row per fault, counted by ``np.bincount``.
+Faults are one ``fault_sites`` table, and the tiles one stack with one
+stacked golden.  A call of the detection walk derives, from one fault-free
+pass, the session sums of the faults still undetected on its tiles in closed
+form (``fault_sessions``), and one ``classify`` call judges each detected
+fault's first detecting session.  Calls cover one tile until the live faults
+times the tiles left fit one call, which then covers them all; the harmless
+walk cuts its calls alike.  All runs in the calling process.  Outcomes fill
+one integer table, a row per fault, counted by ``np.bincount``.
 """
 
 from __future__ import annotations
@@ -32,8 +35,8 @@ from stasim.selftest import (
     VERDICT_KINDS,
     GoldenReference,
     VerdictKind,
+    _golden,
     classify,
-    compute_golden,
     fault_sessions,
 )
 from stasim.sparsity import SparseWeightTile
@@ -117,52 +120,78 @@ def _classification_outcome(sites: np.ndarray, failed, kinds, windows):
     return np.where(checked, correct, -1)
 
 
+def _walk(faults: np.ndarray, tiles: int, step: int, judge) -> np.ndarray:
+    """Walk ``faults`` over the tiles in order, each until ``judge`` flags it.
+
+    ``judge(ids, span)`` judges faults ``ids`` on the tiles of slice
+    ``span`` in one call and returns which of them it flagged.  A call
+    covers one tile, with the live faults in chunks of ``step``, until the
+    live faults times the tiles left fit one call (``step`` (fault, tile)
+    pairs); the next call then covers every tile left.  Returns the faults
+    never flagged.
+    """
+    start, live = 0, faults
+    while start < tiles and len(live):
+        stop = tiles if len(live) * (tiles - start) <= step else start + 1
+        live = np.concatenate([
+            ids[~judge(ids, slice(start, stop))]
+            for ids in np.split(live, range(step, len(live), step))
+        ])
+        start = stop
+    return live
+
+
 def _evaluate_faults(
-    tiles: Sequence[SparseWeightTile],
-    goldens: Sequence[GoldenReference],
+    values: np.ndarray,
+    indexes: np.ndarray,
+    golden: GoldenReference,
     sites: np.ndarray,
     verify_classification: bool,
     harness: Optional[np.ndarray],
 ) -> np.ndarray:
     """The outcome table, one row per fault of ``sites``, -1 where unknown.
 
-    Columns: detection tile, then the classification-ok and harmless flags
-    (0/1).  Tile by tile, a fault drops out of the detection walk when a
-    session flags it, and out of the harness walk when its results change.
-    Each tile's faults go in calls of ``ArrayConfig.per_step`` faults.
+    ``values`` and ``indexes`` are the workload's tiles stacked, and
+    ``golden`` their stacked golden reference.  Columns: detection tile,
+    then the classification-ok and harmless flags (0/1).  A fault drops out
+    of the detection walk at the first tile whose session flags it, and
+    out of the harness walk at the first tile whose results it changes;
+    ``_walk`` sizes the calls by ``ArrayConfig.per_step``.
     """
-    array = TensorArray(goldens[0].config)
+    config = golden.config
+    array = TensorArray(config)
     table = np.full((len(sites), 3), -1, dtype=np.int64)
     detected_tile, classification_ok, harmless = table.T
+    expected = np.reshape(EXPECTED_COMPARED, (4, 1, 1, 1))
 
-    live, step = np.arange(len(sites)), array.config.per_step(4)  # a session is 4 waves
-    for ti, (tile, golden) in enumerate(zip(tiles, goldens)):
-        if not len(live):
-            break
-        array.load_weights(tile)
-        for ids in np.split(live, range(step, len(live), step)):
-            raw, compared = fault_sessions(array, sites[ids], golden)
-            failed = (compared != np.reshape(EXPECTED_COMPARED, (4, 1, 1))).any(axis=2)
-            hits = failed.any(axis=0)
-            detected_tile[ids[hits]] = ti
-            if verify_classification and hits.any():
-                kinds, windows = classify(raw[:, hits], compared[:, hits], golden)
-                classification_ok[ids[hits]] = _classification_outcome(
-                    sites[ids[hits]], failed[:, hits], kinds, windows
-                )
-        live = live[detected_tile[live] < 0]
+    def detect(ids, span):
+        part = GoldenReference(golden.per_test[:, span], config)
+        raw, compared = fault_sessions(array, values[span], indexes[span], sites[ids], part)
+        failed = (compared != expected).any(axis=-1)  # (4, tiles, faults)
+        hits = failed.any(axis=0)
+        flagged = hits.any(axis=0)
+        # Each detected fault's first detecting tile, and its session there.
+        (f,) = np.nonzero(flagged)
+        t = hits[:, f].argmax(axis=0)
+        detected_tile[ids[f]] = span.start + t
+        if verify_classification and len(f):
+            kinds, windows = classify(raw[:, t, f], compared[:, t, f], golden)
+            classification_ok[ids[f]] = _classification_outcome(
+                sites[ids[f]], failed[:, t, f], kinds, windows
+            )
+        return flagged
 
+    def changed(ids, span):
+        clean, got = array.stream_faults(values[span], indexes[span], sites[ids], harness[:, span])
+        hits = (got != clean[:, :, None]).any(axis=(0, 1, 3))
+        harmless[ids[hits]] = 0
+        return hits
+
+    tiles = len(values)
+    escapes = _walk(np.arange(len(sites)), tiles, config.per_step(4), detect)  # 4 session waves
     if harness is not None:
-        harmless[live] = 1
-        step = array.config.per_step(len(harness))
-        for ti, tile in enumerate(tiles):
-            if not len(live):
-                break
-            array.load_weights(tile)
-            for ids in np.split(live, range(step, len(live), step)):
-                clean, got = array.stream_faults(sites[ids], harness[:, ti])
-                harmless[ids[(got != clean[:, None]).any(axis=(0, 2))]] = 0
-            live = live[harmless[live] == 1]
+        harmless[escapes] = 1
+        _walk(escapes, tiles, config.per_step(len(harness)), changed)
     return table
 
 
@@ -234,7 +263,10 @@ def run_campaign(
     if not tiles:
         raise ValueError("campaign needs at least one weight tile")
     sites = fault_sites(config, faults)
-    goldens = [compute_golden(tile, config) for tile in tiles]
+    for tile in tiles:
+        config.check_tile(tile)
+    values = np.stack([tile.values for tile in tiles])
+    indexes = np.stack([tile.indexes for tile in tiles])
     harness = None
     if check_harmless:  # per tile, HARMLESS_ROWS random activation blocks as one stream
         rng, half = np.random.default_rng(seed), 1 << (config.data_width - 1)
@@ -242,7 +274,7 @@ def run_campaign(
         harness = np.stack([rng.integers(-half, half, shape, np.int64) for _ in tiles], axis=1)
 
     detected_tile, classification_ok, harmless = _evaluate_faults(
-        tiles, goldens, sites, verify_classification, harness
+        values, indexes, _golden(values, indexes, config), sites, verify_classification, harness
     ).T
 
     detected = detected_tile >= 0

@@ -295,17 +295,24 @@ def _reports(raw, compared, golden: GoldenReference, tile_ids) -> list[TestRepor
     ]
 
 
-def _check_session(array: TensorArray, golden: GoldenReference) -> None:
-    """A session's preconditions: weights loaded, one tile's golden of this config."""
-    if not array.weights_loaded:
+def _check_session(array: TensorArray, golden: GoldenReference, tiles=None) -> None:
+    """A session's preconditions: a golden of this config, for ``tiles`` stacked tiles.
+
+    ``tiles=None`` means the loaded tile, so weights must be loaded.
+    """
+    if tiles is None and not array.weights_loaded:
         raise RuntimeError("load a weight tile before running a self-test session")
     if golden.config != array.config:
         want, got = asdict(array.config), asdict(golden.config)
         wrong = "; ".join(f"{k} {got[k]!r}, not {v!r}" for k, v in want.items() if got[k] != v)
         raise ValueError(f"golden reference computed for another array: {wrong}")
-    if golden.per_test.ndim != 2:
+    shape, cols = golden.per_test.shape, array.config.cols
+    if tiles is None and shape != (4, cols):
+        raise ValueError(f"a session needs one tile's golden reference, got shape {shape}")
+    if tiles is not None and shape != (4, tiles, cols):
         raise ValueError(
-            f"a session needs one tile's golden reference, got shape {golden.per_test.shape}"
+            f"sessions on {tiles} stacked tiles need a golden reference of shape "
+            f"(4, {tiles}, {cols}), got {shape}"
         )
 
 
@@ -346,20 +353,26 @@ def stacked_sessions(array: TensorArray, values, indexes, tile_ids) -> list[Test
 
 
 def fault_sessions(
-    array: TensorArray, sites: np.ndarray, golden: GoldenReference
+    array: TensorArray, values, indexes, sites: np.ndarray, golden: GoldenReference
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``run_session``'s sums once per fault of a ``fault_sites`` table.
+    """``run_session``'s sums once per tile of a stack and fault of a ``fault_sites`` table.
 
-    Returns (raw, compared), each (4, faults, cols): [:, f] is what a session
-    on the loaded tile reports with fault f alone injected, derived by
-    ``TensorArray.stream_faults``.  An edge-accumulator fault forces its
-    column's raw sum before the golden is added.  Nothing is classified.
+    ``values`` and ``indexes`` are (tiles, rows, cols, n) stacks of packed
+    tiles, as ``stacked_sessions`` takes them, and ``golden`` is their
+    stacked golden reference, (4, tiles, cols).  Returns (raw, compared),
+    each (4, tiles, faults, cols): [:, t, f] is what a session on tile t
+    reports with fault f alone injected, derived by
+    ``TensorArray.stream_faults``; no tile need be loaded.  An
+    edge-accumulator fault forces its column's raw sum before the golden is
+    added.  Nothing is classified.
     """
-    _check_session(array, golden)
+    _check_session(array, golden, tiles=len(values))
     cfg = array.config
-    _, raw = array.stream_faults(sites, *_session_stream(cfg.rows, cfg.m))
+    blocks, norths, flags = _session_stream(cfg.rows, cfg.m)
+    per_tile = np.broadcast_to(blocks[:, None], (4, len(values)) + blocks.shape[1:])
+    _, raw = array.stream_faults(values, indexes, sites, per_tile, norths, flags)
     (edge,) = np.nonzero(sites[:, 0] == CLASS_CODE[RegClass.EDGE_ACCUMULATOR])
     _, _, cols, _, and_bits, or_bits = sites[edge].T
     read = raw.copy()
-    read[:, edge, cols] = raw[:, edge, cols] & and_bits | or_bits
-    return raw, wrap_signed(read + golden.per_test[:, None], cfg.acc_width)
+    read[:, :, edge, cols] = raw[:, :, edge, cols] & and_bits | or_bits
+    return raw, wrap_signed(read + golden.per_test[:, :, None], cfg.acc_width)

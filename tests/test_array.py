@@ -19,6 +19,7 @@ from stasim.array import (
 )
 from stasim.campaign import enumerate_faults, random_tiles, run_campaign
 from stasim.driver import Layer, Workload, tiled_matmul
+from stasim.selftest import GoldenReference, compute_golden, fault_sessions
 from stasim.sparsity import SparseWeightTile, densify, pack_tile
 from test_stream import assert_same_registers
 
@@ -147,8 +148,21 @@ def test_fault_site_rejects_non_integers(field, value):
     for check in checks:
         with pytest.raises(ValueError, match=message):
             check(fault)
-    # NumPy integers index like ints, and a bool polarity is 0 or 1.
-    FaultSite(RegClass.WEIGHT, np.int64(1), 0, 0, np.uint8(3), True).validate(cfg)
+    # NumPy integers index like ints, and a bool polarity is 0 or 1: every
+    # check takes them, and the table holds the plain ints' row.
+    plain = FaultSite(RegClass.WEIGHT, 1, 0, 1, 3, 1)
+    for alike in (
+        replace(plain, row=np.int64(1), col=np.int64(0), element=np.int64(1), bit=np.uint8(3)),
+        replace(plain, stuck=True),
+    ):
+        for check in checks:
+            check(alike)
+        assert np.array_equal(fault_sites(cfg, [plain, alike]), fault_sites(cfg, [plain] * 2))
+    # A str is not a class, though ``RegClass`` members are strs.
+    named = replace(fault, reg_class="weight")
+    for check in checks:
+        with pytest.raises(ValueError, match="reg_class must be a RegClass member, got 'weight'"):
+            check(named)
 
 
 def test_fault_site_spec_string():
@@ -262,14 +276,20 @@ def test_compute_shape_validation():
         array.run_compute(np.ones((3, 7), dtype=np.int64))
     blocks = np.ones((3, 2, 4), dtype=np.int64)
     sites = fault_sites(array.config, [])
+    stack = tile.values[None], tile.indexes[None]
     for flags in ([True, False], [[True, False, True]]):
         with pytest.raises(ValueError, match="one test-4 flag per input row"):
             array.stream(blocks, test4_mask=flags)
         with pytest.raises(ValueError, match="one test-4 flag per input row"):
-            array.stream_faults(sites, blocks, test4_mask=flags)
-    # The closed form runs on the loaded tile.
-    with pytest.raises(RuntimeError, match="weights must be loaded"):
-        TensorArray(array.config).stream_faults(sites, blocks)
+            array.stream_faults(*stack, sites, blocks[:, None], test4_mask=flags)
+    with pytest.raises(ValueError, match=re.escape("blocks must have shape (X, 1, 2, 4)")):
+        array.stream_faults(*stack, sites, blocks)
+    with pytest.raises(ValueError, match=re.escape("tile values must have shape (tiles, 2, 2, 2)")):
+        array.stream_faults(tile.values, tile.indexes, sites, blocks)
+    # The closed form reads the stacked tiles: none need be loaded.
+    clean, sums = TensorArray(array.config).stream_faults(*stack, sites, blocks[:, None])
+    assert np.array_equal(clean[:, 0], array.stream(blocks)[0])
+    assert sums.shape == (3, 1, 0, 2)
 
 
 def test_load_cycle_count_and_state_reset():
@@ -472,6 +492,52 @@ def test_edge_fault_applies_to_comparison():
     for raw, gold in [([1], [1]), ([[1, 1]], [1, 1]), (np.zeros((0, 2)), np.zeros((0, 2)))]:
         with pytest.raises(ValueError):
             array.edge_compare(raw, gold)
+
+
+def test_foreign_fault_tables_are_located():
+    # A table built for a larger array names cells a 2x2 array lacks: each
+    # call rejects its first such row, naming the field, before any sum.
+    cfg = ArrayConfig(rows=2, cols=2)
+    tile = cfg.pack(np.random.default_rng(149).integers(-9, 10, cfg.tile_shape))
+    stack = tile.values[None], tile.indexes[None]
+    golden = GoldenReference(compute_golden(tile, cfg).per_test[:, None], cfg)
+    ok = FaultSite(RegClass.OUTPUT, 1, 0, 0, 15, 1)
+    foreign = [
+        (
+            ArrayConfig(rows=4, cols=4),
+            FaultSite(RegClass.OUTPUT, 3, 0, 0, 15, 1),
+            "row 3 outside 0..1 for output",
+        ),
+        (
+            ArrayConfig(rows=2, cols=4),
+            FaultSite(RegClass.EDGE_ACCUMULATOR, 0, 2, 0, 3, 0),
+            "col 2 outside 0..1 for edge_accumulator",
+        ),
+        (
+            ArrayConfig(rows=2, cols=2, m=8, n=4),
+            FaultSite(RegClass.WEIGHT, 0, 1, 3, 2, 1),
+            "element 3 outside 0..1 for weight",
+        ),
+    ]
+    array = TensorArray(cfg)
+    blocks = np.ones((2, 1, cfg.rows, cfg.m), dtype=np.int64)
+    for other, fault, message in foreign:
+        sites = np.vstack([fault_sites(cfg, [ok]), fault_sites(other, [fault])])
+        for call in (
+            lambda: array.stream_faults(*stack, sites, blocks),
+            lambda: fault_sessions(array, *stack, sites, golden),
+        ):
+            with pytest.raises(ValueError, match=f"^fault table row 1: {message}$"):
+                call()
+    unknown, negative = fault_sites(cfg, [ok, ok]), fault_sites(cfg, [ok, ok])
+    unknown[1, 0], negative[1, 2] = len(RegClass), -1
+    with pytest.raises(ValueError, match="^fault table row 1: class code 5 outside 0..4$"):
+        array.stream_faults(*stack, unknown, blocks)
+    with pytest.raises(ValueError, match="^fault table row 1: col -1 outside 0..1 for output$"):
+        array.stream_faults(*stack, negative, blocks)
+    for table in (unknown[:, :5], unknown.astype(float)):
+        with pytest.raises(ValueError, match=r"fault table must be \(faults, 6\) integers"):
+            array.stream_faults(*stack, table, blocks)
 
 
 def test_multiple_faults_compose():

@@ -1,5 +1,6 @@
 """Unit tests for fault enumeration and coverage campaigns."""
 
+import hashlib
 import json
 from concurrent.futures import ProcessPoolExecutor
 from unittest.mock import patch
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import stasim.array
 import stasim.campaign as campaign
 from stasim.array import ArrayConfig, FaultSite, RegClass, TensorArray, fault_sites
 from stasim.campaign import enumerate_faults, random_tiles, run_campaign
@@ -113,7 +115,7 @@ def test_output_and_edge_faults_always_detected():
 
 
 def test_walks_stop_once_no_fault_is_live():
-    """A fault detected at tile 0 leaves neither walk anything to load."""
+    """One fault times six tiles fit one call, which detects it: nothing is left to run."""
     cfg = ArrayConfig(rows=2, cols=2)
     tiles = random_tiles(np.random.default_rng(421), cfg, 6)
     fault = FaultSite(RegClass.OUTPUT, 0, 0, 0, 20, 1)
@@ -125,7 +127,73 @@ def test_walks_stop_once_no_fault_is_live():
         report = run_campaign(tiles, cfg, faults=[fault], check_harmless=True)
     assert report.detected == 1
     assert report.cumulative_curve == [1.0] * 6
-    assert (loads.call_count, streams.call_count) == (1, 1)
+    assert (loads.call_count, streams.call_count) == (0, 1)
+
+
+@pytest.mark.parametrize(
+    "budget, calls",
+    [
+        # 50 (fault, tile) pairs a session call and 40 a harness call: the
+        # detection walk takes tiles 0-3 one at a time, then tiles 4 and 5
+        # at once, since 12 live faults x 2 tiles fit; the harness walk
+        # takes tile 0, then tiles 1-5 for 5 live faults.
+        (
+            400,
+            [(4, [0], 50)] * 6
+            + [(4, [0], 36), (4, [1], 50), (4, [1], 40), (4, [2], 33), (4, [3], 24)]
+            + [(4, [4, 5], 12), (5, [0], 7), (5, [1, 2, 3, 4, 5], 5)],
+        ),
+        # 256 and 204 pairs: 33 live faults x 4 tiles fit after tile 1, and
+        # the 7 escapes x 6 tiles fit one harness call.
+        (
+            2048,
+            [(4, [0], 256), (4, [0], 80), (4, [1], 90), (4, [2, 3, 4, 5], 33)]
+            + [(5, [0, 1, 2, 3, 4, 5], 7)],
+        ),
+    ],
+)
+def test_walk_calls_cover_one_tile_until_the_rest_fit_one_call(budget, calls):
+    """Each ``stream_faults`` call as (waves, tiles covered, faults), under a patched budget."""
+    rng = np.random.default_rng(463)
+    tiles = [random_tiles(rng, TINY, 1, magnitude=mag)[0] for mag in (None, 3, 1, 3, 0, 1)]
+    stacked = np.stack([np.concatenate([tile.values, tile.indexes], axis=-1) for tile in tiles])
+    assert len(np.unique(stacked, axis=0)) == len(tiles)
+    seen, stream_faults = [], TensorArray.stream_faults
+
+    def recording(self, values, indexes, sites, blocks, *args):
+        part = np.concatenate([values, indexes], axis=-1)
+        span = len(part)
+        (start,) = [t for t in range(len(tiles)) if np.array_equal(stacked[t : t + span], part)]
+        seen.append((len(blocks), list(range(start, start + span)), len(sites)))
+        return stream_faults(self, values, indexes, sites, blocks, *args)
+
+    def campaign_run():
+        return run_campaign(tiles, TINY, check_harmless=True, seed=1).to_dict()
+
+    with patch.object(campaign, "HARMLESS_ROWS", 5):
+        want = campaign_run()
+        with patch.object(stasim.array, "ELEMENT_BUDGET", budget), patch.object(
+            TensorArray, "stream_faults", recording
+        ):
+            assert campaign_run() == want
+    assert seen == calls
+
+
+def test_benchmark_shaped_campaign_report_is_pinned():
+    # Acceptance criterion 8's tile mix, every 33rd fault of each class,
+    # the classification and harmless checks, seed 0: the report's bytes
+    # are pinned, so a change to how the walks cut their calls that moves
+    # one outcome shows here.
+    cfg = ArrayConfig()
+    rng = np.random.default_rng(0)
+    magnitudes = (None,) * 6 + (4096, 512, 64, 8)
+    tiles = [random_tiles(rng, cfg, 1, magnitude=mag)[0] for mag in magnitudes]
+    universe = enumerate_faults(cfg)
+    faults = [f for cls in RegClass for f in [g for g in universe if g.reg_class is cls][::33]]
+    assert len(faults) == 531
+    report = run_campaign(tiles, cfg, faults=faults, check_harmless=True, seed=0)
+    digest = hashlib.sha256(report.to_json().encode()).hexdigest()
+    assert digest == "428ccdb8a10d11541ceda6947ceb5f511c81115d1755664a09e13cc2d38f293f"
 
 
 def test_campaign_is_deterministic():

@@ -312,7 +312,7 @@ def test_stacked_layers_match_per_tile_driver(
             bits.add(where)
             faults.append(fault)
     budget = tiles_per_pass * 5 * cfg.rows * cfg.cols * cfg.m
-    with patch.object(stasim.array, "LANE_BUDGET", budget):
+    with patch.object(stasim.array, "ELEMENT_BUDGET", budget):
         results, stats, reports = tiled_matmul(workload, cfg, testing, tuple(faults))
     want_results, want_stats, want_reports = per_tile_matmul(workload, cfg, testing, faults)
     assert len(results) == len(want_results)

@@ -1,11 +1,11 @@
 """Property tests: single faults in closed form against one fault injected at a time.
 
 ``TensorArray.stream_faults`` and ``selftest.fault_sessions`` derive every
-fault's sums from one fault-free pass.  The references are the loops they
-replace: inject a single fault, then ``stream`` or run one ``run_session``
-per tile until a session flags it, classify it with the scalar classifier
-copies of ``test_classify``, and check an undetected fault's harmlessness
-with ``run_compute``.
+fault's sums on a stack of tiles from one fault-free pass.  The references
+are the loops they replace: inject a single fault, then load each tile and
+``stream`` or run one ``run_session`` until a session flags it, classify it
+with the scalar classifier copies of ``test_classify``, and check an
+undetected fault's harmlessness with ``run_compute``.
 """
 
 from unittest.mock import patch
@@ -19,7 +19,7 @@ import stasim.array
 import stasim.campaign as campaign
 from stasim.array import ArrayConfig, FaultSite, RegClass, TensorArray, fault_sites
 from stasim.campaign import enumerate_faults, random_tiles, run_campaign
-from stasim.selftest import compute_golden, fault_sessions, run_session
+from stasim.selftest import GoldenReference, compute_golden, fault_sessions, run_session
 from stasim.sparsity import SparseWeightTile
 from test_classify import scalar_classify, scalar_outcome
 from test_stream import assert_same_registers, configs
@@ -126,7 +126,7 @@ def corner_faults(rng, cfg, tile):
 @given(
     cfg=configs(),
     fault_set=st.sampled_from(["mixed", "duplicates", "empty"]),
-    tiles=st.integers(1, 2),
+    tiles=st.integers(1, 3),
     x_rows=st.integers(0, 5),
     test4_mask=st.sampled_from([False, True, "rows"]),
     seed=st.integers(0, 2**32 - 1),
@@ -134,7 +134,7 @@ def corner_faults(rng, cfg, tile):
 def test_stream_faults_match_one_fault_at_a_time(cfg, fault_set, tiles, x_rows, test4_mask, seed):
     rng = np.random.default_rng(seed)
     stack = [tile_of_magnitude(rng, cfg, 1 << 30) for _ in range(tiles)]
-    stack[0], corners = corner_faults(rng, cfg, stack[0])
+    stack[-1], corners = corner_faults(rng, cfg, stack[-1])
     faults = mixed_faults(rng, cfg, int(rng.integers(5, 10))) + corners
     if fault_set == "duplicates":
         faults += [faults[i] for i in rng.integers(0, len(faults), size=4)]
@@ -142,8 +142,8 @@ def test_stream_faults_match_one_fault_at_a_time(cfg, fault_set, tiles, x_rows, 
     elif fault_set == "empty":
         faults = []
     d_hi, a_hi = 1 << (cfg.data_width - 1), 1 << (cfg.acc_width - 1)
-    # One bit wider than the registers; north values at the accumulator's
-    # limits, so that sums wrap it.
+    # Each tile its own input rows, one bit wider than the registers; north
+    # values at the accumulator's limits, so that sums wrap it.
     blocks = rng.integers(-2 * d_hi, 2 * d_hi, size=(x_rows, tiles, cfg.rows, cfg.m))
     north = rng.choice([-a_hi, a_hi - 1], size=x_rows) + rng.integers(-1, 2, size=x_rows)
     if test4_mask == "rows":
@@ -151,37 +151,40 @@ def test_stream_faults_match_one_fault_at_a_time(cfg, fault_set, tiles, x_rows, 
 
     array, single = TensorArray(cfg), TensorArray(cfg)
     sites = fault_sites(cfg, faults)
+    values = np.stack([tile.values for tile in stack])
+    indexes = np.stack([tile.indexes for tile in stack])
+    goldens = [compute_golden(tile, cfg) for tile in stack]
+    golden = GoldenReference(np.stack([g.per_test for g in goldens], axis=1), cfg)
+    before = array.registers()
+    clean, sums = array.stream_faults(values, indexes, sites, blocks, north, test4_mask)
+    raw, compared = fault_sessions(array, values, indexes, sites, golden)
+    assert_same_registers(array.registers(), before, "stream_faults")
+    assert clean.shape == (x_rows, tiles, cfg.cols)
+    assert sums.shape == (x_rows, tiles, len(faults), cfg.cols)
+    assert raw.shape == compared.shape == (4, tiles, len(faults), cfg.cols)
     for t, tile in enumerate(stack):
-        array.load_weights(tile)
-        golden = compute_golden(tile, cfg)
-        before = array.registers()
-        clean, sums = array.stream_faults(sites, blocks[:, t], north, test4_mask)
-        raw, compared = fault_sessions(array, sites, golden)
-        assert_same_registers(array.registers(), before, "stream_faults")
-        assert sums.shape == (x_rows, len(faults), cfg.cols)
-        assert raw.shape == compared.shape == (4, len(faults), cfg.cols)
         single.clear_faults()
         single.load_weights(tile)
-        assert np.array_equal(clean, single.stream(blocks[:, t], north, test4_mask)[0])
+        assert np.array_equal(clean[:, t], single.stream(blocks[:, t], north, test4_mask)[0])
         for f, fault in enumerate(faults):
             single.clear_faults()
             single.inject(fault)
             want, _ = single.stream(blocks[:, t], north, test4_mask)
-            assert np.array_equal(sums[:, f], want), (t, fault)
-            report = run_session(single, golden)
-            assert np.array_equal(raw[:, f], report.raw), (t, fault)
-            assert np.array_equal(compared[:, f], report.compared), (t, fault)
+            assert np.array_equal(sums[:, t, f], want), (t, fault)
+            report = run_session(single, goldens[t])
+            assert np.array_equal(raw[:, t, f], report.raw), (t, fault)
+            assert np.array_equal(compared[:, t, f], report.compared), (t, fault)
 
     # The closed form derives single faults on a fault-free array only.
     array.inject(mixed_faults(rng, cfg, 1)[0])
     with pytest.raises(ValueError, match="without injected faults"):
-        array.stream_faults(sites, blocks[:, -1], north, test4_mask)
+        array.stream_faults(values, indexes, sites, blocks, north, test4_mask)
     with pytest.raises(ValueError, match="without injected faults"):
-        fault_sessions(array, sites, golden)
+        fault_sessions(array, values, indexes, sites, golden)
 
 
 def assert_matches_per_fault_loop(cfg, tiles, faults, budget, **kwargs):
-    """Run a campaign under ``LANE_BUDGET = budget`` and with the per-fault loop.
+    """Run a campaign under ``ELEMENT_BUDGET = budget`` and with the per-fault loop.
 
     Both must fill the same outcome table and report the same.  Returns the
     table.
@@ -195,11 +198,12 @@ def assert_matches_per_fault_loop(cfg, tiles, faults, budget, **kwargs):
 
         return wrapped
 
-    def reference_table(tiles, goldens, sites, verify, harness):
+    def reference_table(values, indexes, golden, sites, verify, harness):
         universe = enumerate_faults(cfg) if faults is None else faults
+        goldens = [compute_golden(tile, cfg) for tile in tiles]
         return reference_evaluate(cfg, tiles, goldens, universe, verify, harness)
 
-    with patch.object(stasim.array, "LANE_BUDGET", budget), patch.object(
+    with patch.object(stasim.array, "ELEMENT_BUDGET", budget), patch.object(
         campaign, "_evaluate_faults", recording("closed form", campaign._evaluate_faults)
     ):
         closed_form = run_campaign(tiles, cfg, faults=faults, **kwargs)
@@ -228,7 +232,7 @@ def test_lane_campaign_matches_per_fault_loop(
     faults = mixed_faults(rng, cfg, faults_per_step * full_chunks + remainder - 2)
     assert len({f.reg_class for f in faults}) == len(RegClass)
     tiles = [tile_of_magnitude(rng, cfg, mag) for mag in magnitudes]
-    # A session call on one tile holds 4 waves x faults x cols.
+    # A session call holds 4 waves x (fault, tile) pairs x cols.
     budget = faults_per_step * 4 * cfg.cols
     with patch.object(campaign, "HARMLESS_ROWS", harmless_rows):
         assert_matches_per_fault_loop(
@@ -237,8 +241,9 @@ def test_lane_campaign_matches_per_fault_loop(
 
 
 def test_whole_universe_in_small_steps_matches_per_fault_loop():
-    # Seven faults per session call and one per harness call: both walks
-    # cross many call boundaries, and the escapes are of both kinds.
+    # Seven (fault, tile) pairs per session call and one per harness call:
+    # both walks cross many call boundaries, and the escapes are of both
+    # kinds.
     cfg = ArrayConfig(rows=1, cols=2, m=4, n=2, data_width=8, acc_width=16)
     rng = np.random.default_rng(457)
     tiles = [random_tiles(rng, cfg, 1, magnitude=mag)[0] for mag in (None, 3)]

@@ -251,9 +251,10 @@ def test_passes_write_no_register():
     # registers, read without the injected fault.
     array.clear_faults()
     before = array.registers()
+    stacked_golden = GoldenReference(golden.per_test[:, None], cfg)
     single_fault_passes = {
-        "stream_faults": lambda: array.stream_faults(sites, blocks),
-        "fault_sessions": lambda: fault_sessions(array, sites, golden),
+        "stream_faults": lambda: array.stream_faults(*stack, sites, blocks[:, None]),
+        "fault_sessions": lambda: fault_sessions(array, *stack, sites, stacked_golden),
     }
     for name, run in single_fault_passes.items():
         run()
@@ -266,8 +267,11 @@ def test_session_preconditions():
     array = TensorArray(cfg)
     with pytest.raises(RuntimeError):
         run_session(array, compute_golden(tile, cfg))
-    with pytest.raises(RuntimeError):
-        fault_sessions(array, fault_sites(cfg, None), compute_golden(tile, cfg))
+    # Sessions on a stack of tiles need none loaded.
+    stack, sites = (tile.values[None], tile.indexes[None]), fault_sites(cfg, None)
+    golden = GoldenReference(compute_golden(tile, cfg).per_test[:, None], cfg)
+    raw, compared = fault_sessions(array, *stack, sites, golden)
+    assert raw.shape == compared.shape == (4, 1, len(sites), cfg.cols)
     array.load_weights(tile)
     other = GoldenReference(np.zeros((4, 3), dtype=np.int64), ArrayConfig(rows=2, cols=3))
     with pytest.raises(ValueError):
@@ -299,12 +303,18 @@ def test_golden_references_compare_by_identity():
 def test_sessions_need_one_tiles_golden():
     cfg = ArrayConfig(rows=1, cols=2)
     array = TensorArray(cfg)
-    array.load_weights(cfg.pack(np.ones((4, 2), dtype=np.int64)))
+    tile = cfg.pack(np.ones((4, 2), dtype=np.int64))
+    array.load_weights(tile)
     stacked = GoldenReference(np.zeros((4, 1, 2), dtype=np.int64), cfg)
+    with pytest.raises(ValueError, match=r"one tile's golden reference, got shape \(4, 1, 2\)"):
+        run_session(array, stacked)
+    # A stack of two tiles needs a golden of two tiles.
+    stack = np.stack([tile.values] * 2), np.stack([tile.indexes] * 2)
     sites = fault_sites(cfg, [FaultSite(RegClass.OUTPUT, 0, 1, 0, 3, 1)])
-    for session in (run_session, lambda array, golden: fault_sessions(array, sites, golden)):
-        with pytest.raises(ValueError, match=r"golden reference, got shape \(4, 1, 2\)"):
-            session(array, stacked)
+    for golden in (stacked, compute_golden(tile, cfg)):
+        shape = re.escape(str(golden.per_test.shape))
+        with pytest.raises(ValueError, match=rf"2 stacked tiles need .* \(4, 2, 2\), got {shape}"):
+            fault_sessions(array, *stack, sites, golden)
 
 
 @pytest.mark.parametrize("field, value", [("mode", "1:4"), ("rows", 4), ("acc_width", 17)])
@@ -320,8 +330,10 @@ def test_golden_for_another_config_rejected(field, value):
     mismatch = f"computed for another array: {field} {value!r}, not {getattr(cfg, field)!r}$"
     with pytest.raises(ValueError, match=mismatch):
         run_session(array, golden)
+    stack = golden_tile.values[None], golden_tile.indexes[None]
+    stacked = GoldenReference(golden.per_test[:, None], golden_cfg)
     with pytest.raises(ValueError, match=mismatch):
-        fault_sessions(array, fault_sites(cfg, None), golden)
+        fault_sessions(array, *stack, fault_sites(cfg, None), stacked)
 
 
 # -- fault signatures --------------------------------------------------------------
