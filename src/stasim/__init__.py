@@ -57,7 +57,6 @@ from stasim.sparsity import (
     densify,
     pack_tile,
     read_matrix_csv,
-    validate_nm,
     write_matrix_csv,
 )
 
@@ -101,7 +100,6 @@ __all__ = [
     "session_verdicts",
     "synthetic_workload",
     "tiled_matmul",
-    "validate_nm",
     "wrap_add",
     "wrap_signed",
     "write_matrix_csv",

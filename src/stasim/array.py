@@ -78,6 +78,11 @@ class RegSpec:
     width: int
     signed: bool
 
+    @property
+    def limits(self) -> tuple[int, int, int, int, int]:
+        """Exclusive bounds of a fault's row, col, element, bit and stuck here."""
+        return self.shape + (self.width, 2)
+
 
 @dataclass(frozen=True)
 class ArrayConfig:
@@ -230,8 +235,7 @@ class FaultSite:
         cls = self.reg_class
         if not isinstance(cls, RegClass):
             raise ValueError(f"FaultSite reg_class must be a RegClass member, got {cls!r}")
-        spec = config.reg_specs[cls]
-        limits = spec.shape + (spec.width, 2)
+        limits = config.reg_specs[cls].limits
         for name, limit in zip(("row", "col", "element", "bit", "stuck"), limits):
             value = getattr(self, name)
             # Plain ints skip the slower ``Integral`` check.
@@ -243,19 +247,6 @@ class FaultSite:
                 )
             if not 0 <= value < limit:
                 raise ValueError(f"{name} {value} outside 0..{limit - 1} for {cls.value}")
-
-    def mask_bits(self, config: ArrayConfig) -> tuple[int, int]:
-        """The (and, or) words this fault applies to its register's reads.
-
-        A signed register's sign bit drives its sign extension too, so a
-        stuck sign bit forces every bit from width-1 upward.
-        """
-        spec = config.reg_specs[self.reg_class]
-        if spec.signed and self.bit == spec.width - 1:
-            bits = -(1 << self.bit)
-        else:
-            bits = 1 << self.bit
-        return (-1, bits) if self.stuck else (~bits, 0)
 
     def spec(self) -> str:
         """Compact ``class:row:col:element:bit:stuck`` form."""
@@ -292,45 +283,60 @@ def _element_weights(weights: np.ndarray, sel: np.ndarray, m: int) -> np.ndarray
     return np.matmul(weights[..., None, :], sel[..., None] == np.arange(m))[..., 0, :]
 
 
+def stuck_words(width: int, signed: bool, bit, stuck):
+    """The (and, or) words that tie ``bit`` of a register's reads to ``stuck``.
+
+    ``width`` and ``signed`` are one register class's; ``bit`` and ``stuck``
+    are plain ints or integer arrays alike, as ``wrap_signed``'s values are.
+    A signed register's sign bit drives its sign extension too, so a stuck
+    sign bit forces every bit from ``width - 1`` up: its word is -1 << bit.
+    """
+    bits = (1 - 2 * (signed and bit == width - 1)) << bit
+    forced = bits * stuck
+    return ~(bits - forced), forced
+
+
+def _outside(config: ArrayConfig, fields: np.ndarray) -> np.ndarray:
+    """Mask (faults, 5) of an int64 (faults, 6) table's fields outside ``config``'s limits."""
+    # A class code past the last reads limits of 0, which every field exceeds.
+    limits = np.array([spec.limits for spec in config.reg_specs.values()] + [(0,) * 5], np.uint64)
+    unsigned = fields.view(np.uint64)  # read unsigned, a negative field exceeds every limit
+    code = np.minimum(unsigned[:, 0], len(limits) - 1)
+    return unsigned[:, 1:] >= limits.take(code, axis=0)
+
+
 def fault_sites(config: ArrayConfig, faults: Optional[Iterable[FaultSite]] = None) -> np.ndarray:
     """The (faults, 6) table of single faults that ``TensorArray.stream_faults`` takes.
 
-    Row f is fault f's ``CLASS_CODE``, row, col, element and ``mask_bits``.
-    ``faults=None`` is every fault of ``config`` in ``enumerate_faults``
-    order, made without ``FaultSite`` objects.  Given faults, read once, are
-    checked as arrays, or by ``FaultSite.validate`` (naming a bad field) if
-    not all plain ints.
+    Row f is fault f's own fields as ints: its ``CLASS_CODE``, row, col,
+    element, bit and stuck; ``stuck_words`` makes the words where they are
+    applied.  ``faults=None`` is every fault of ``config`` in
+    ``enumerate_faults`` order, made without ``FaultSite`` objects.  Given
+    faults, read once, are checked as arrays, or by ``FaultSite.validate``
+    (naming a bad field) if not all plain ints in range.
     """
-    specs = config.reg_specs.values()
     if faults is None:
-        fields = np.hstack([
-            np.insert(np.indices(spec.shape + (spec.width, 2)).reshape(5, -1), 0, code, 0)
-            for code, spec in enumerate(specs)
-        ]).T
-    else:
-        faults = list(faults)  # both checks read it, a one-shot iterable too
-        cells = [v for f in faults for v in (f.reg_class, f.row, f.col, f.element, f.bit, f.stuck)]
-        classes = cells[::6]
-        plain = set(map(type, classes)) <= {RegClass} and set(map(type, cells)) <= {RegClass, int}
-        if plain:
-            cells[::6] = [CLASS_CODE[c] for c in classes]
-            try:
-                fields = np.fromiter(cells, np.int64, len(cells)).reshape(-1, 6)
-            except (OverflowError, ValueError):  # an int past int64, or a class for a field
-                plain = False
-        limits = np.array([spec.shape + (spec.width, 2) for spec in specs])
-        if not plain or ((fields[:, 1:] < 0) | (fields[:, 1:] >= limits[fields[:, 0]])).any():
-            for fault in faults:  # names the first bad field, or passes them all
-                fault.validate(config)
-            # All valid, so the other types are NumPy integers or a bool polarity.
-            cells[::6] = [CLASS_CODE[c] for c in classes]
-            fields = np.array(cells, np.int64).reshape(-1, 6)
-    code, row, col, element, bit, stuck = fields.T
-    width, signed = np.array([(spec.width, spec.signed) for spec in specs])[code].T
-    # ``mask_bits``'s rule: a stuck sign bit forces its sign extension too.
-    bits = np.where(signed & (bit == width - 1), np.left_shift(-1, bit), np.left_shift(1, bit))
-    and_bits, or_bits = np.where(stuck, -1, ~bits), np.where(stuck, bits, 0)
-    return np.stack([code, row, col, element, and_bits, or_bits], axis=1)
+        return np.concatenate([
+            np.insert(np.indices(spec.limits).reshape(5, -1), 0, code, 0).T
+            for code, spec in enumerate(config.reg_specs.values())
+        ])
+    faults = list(faults)  # both checks read it, a one-shot iterable too
+    cells = [v for f in faults for v in (f.reg_class, f.row, f.col, f.element, f.bit, f.stuck)]
+    classes = cells[::6]
+    plain = set(map(type, classes)) <= {RegClass} and set(map(type, cells)) <= {RegClass, int}
+    if plain:
+        cells[::6] = [CLASS_CODE[c] for c in classes]
+        try:
+            fields = np.fromiter(cells, np.int64, len(cells)).reshape(-1, 6)
+        except (OverflowError, ValueError):  # an int past int64, or a class for a field
+            plain = False
+    if not plain or _outside(config, fields).any():
+        for fault in faults:  # names the first bad field, or passes them all
+            fault.validate(config)
+        # All valid, so the other types are NumPy integers or a bool polarity.
+        cells[::6] = [CLASS_CODE[c] for c in classes]
+        fields = np.array(cells, np.int64).reshape(-1, 6)
+    return fields
 
 
 class TensorArray:
@@ -363,11 +369,13 @@ class TensorArray:
     def inject(self, fault: FaultSite) -> None:
         """Add a stuck-at fault; a bit cannot be stuck at both polarities."""
         fault.validate(self.config)
+        spec = self.config.reg_specs[fault.reg_class]
         if fault.reg_class not in self._masks:
-            shape = self.config.reg_specs[fault.reg_class].shape
+            shape = spec.shape
             self._masks[fault.reg_class] = np.full(shape, -1, np.int64), np.zeros(shape, np.int64)
         and_mask, or_mask = self._masks[fault.reg_class]
-        and_bits, or_bits = fault.mask_bits(self.config)
+        # Plain ints: a NumPy bit of a narrow dtype would shift past its width.
+        and_bits, or_bits = stuck_words(spec.width, spec.signed, int(fault.bit), int(fault.stuck))
         cell = (fault.row, fault.col, fault.element)
         # A bit the masks already force the other way is the opposite fault.
         if (~and_mask[cell] & or_bits) | (or_mask[cell] & ~and_bits):
@@ -628,11 +636,11 @@ class TensorArray:
         return self._wavefront(self._masks, regs, act, psum[:, None], flags)
 
     def _fault_table(self, sites) -> np.ndarray:
-        """A ``fault_sites`` table whose cells all lie in this array.
+        """A ``fault_sites`` table whose faults all lie in this array, as int64.
 
-        A table built for a larger array fails with a ``ValueError`` naming
-        its first row whose class code, row, col or element this array
-        lacks.  The AND/OR words are not checked.
+        A table built for another array then names the same faults here: a
+        row whose class code, row, col, element, bit or stuck this array
+        lacks fails with a ``ValueError`` naming the row and field.
         """
         sites = np.asarray(sites)
         if sites.ndim != 2 or sites.shape[1] != 6 or sites.dtype.kind not in "iu":
@@ -641,25 +649,19 @@ class TensorArray:
                 f"of dtype {sites.dtype}"
             )
         sites = sites.astype(np.int64, copy=False)
-        specs = list(self.config.reg_specs.items())
-        # Read unsigned, a negative code or cell exceeds every limit.
-        unsigned = sites[:, :4].view(np.uint64)
-        known = unsigned[:, 0] < len(specs)
-        shapes = np.array([spec.shape for _, spec in specs], dtype=np.uint64)
-        if known.all() and not (unsigned[:, 1:] >= shapes.take(unsigned[:, 0], axis=0)).any():
-            return sites
-        outside = unsigned[:, 1:] >= shapes.take(np.where(known, unsigned[:, 0], 0), axis=0)
-        f = int((~known | outside.any(axis=1)).argmax())
-        if not known[f]:
-            raise ValueError(
-                f"fault table row {f}: class code {sites[f, 0]} outside 0..{len(specs) - 1}"
-            )
-        field = int(outside[f].argmax())
-        cls, spec = specs[sites[f, 0]]
-        raise ValueError(
-            f"fault table row {f}: {('row', 'col', 'element')[field]} {sites[f, 1 + field]} "
-            f"outside 0..{spec.shape[field] - 1} for {cls.value}"
-        )
+        outside = _outside(self.config, sites)
+        if outside.any():
+            f = int(outside.any(axis=1).argmax())
+            code, *fields = map(int, sites[f])
+            if not 0 <= code < len(RegClass):
+                raise ValueError(
+                    f"fault table row {f}: class code {code} outside 0..{len(RegClass) - 1}"
+                )
+            try:
+                FaultSite(list(RegClass)[code], *fields).validate(self.config)
+            except ValueError as err:
+                raise ValueError(f"fault table row {f}: {err}") from None
+        return sites
 
     def stream_faults(
         self, values, indexes, sites, blocks, north_values=None, test4_mask=False
@@ -677,10 +679,11 @@ class TensorArray:
         index not on test-4 waves, one past the block selecting 0); an
         output fault at row r gives mask(P[r]) + P[last] - P[r]; an edge
         fault, nothing.  The array must hold no injected fault: several
-        faults at once stay on the wave engine.  The table's class codes,
-        rows, cols and elements must lie in this array (``ValueError``
-        naming the first row that does not).  Callers cut their work into
-        calls of ``ArrayConfig.per_step`` (fault, tile) pairs.
+        faults at once stay on the wave engine.  Every field of the table
+        must lie in this array (``ValueError`` naming the first row and field
+        that do not), and ``stuck_words`` makes each fault's words from this
+        array's ``reg_specs``.  Callers cut their work into calls of
+        ``ArrayConfig.per_step`` (fault, tile) pairs.
         """
         if self._masks:
             raise ValueError("stream_faults needs an array without injected faults")
@@ -708,16 +711,17 @@ class TensorArray:
         clean = wrap_signed(psum[..., None] + products.sum(axis=2), cfg.acc_width)
         waves, at = np.arange(x_rows)[:, None, None], np.arange(len(values))[:, None]
 
-        code, row, col, element, and_bits, or_bits = sites.T
+        code, row, col, element, bit, stuck = sites.T
 
-        def read(words, ids):  # stuck bits forced onto (..., faults) words
-            return (words & and_bits[ids]) | or_bits[ids]
+        def read(spec, words, ids):  # (..., faults) words through faults ``ids``' stuck bits
+            and_bits, or_bits = stuck_words(spec.width, spec.signed, bit[ids], stuck[ids])
+            return (words & and_bits) | or_bits
 
         def picked(r, chosen):  # (X, tiles, faults) elements chosen, one past m picking 0
             return np.where(chosen < m, act[waves, at, r, np.minimum(chosen, m - 1)], 0)
 
         sums = np.repeat(clean[:, :, None], len(sites), axis=2)
-        for cls in list(RegClass)[:-1]:  # an edge fault changes no sum
+        for cls, spec in list(cfg.reg_specs.items())[:-1]:  # an edge fault changes no sum
             ids = np.flatnonzero(code == CLASS_CODE[cls])
             if cls in (RegClass.WEIGHT, RegClass.WEIGHT_INDEX):
                 ids = ids[element[ids] < k]  # a gated slot changes nothing
@@ -726,20 +730,20 @@ class TensorArray:
             r, c, e = row[ids], col[ids], element[ids]
             if cls is RegClass.ACTIVATION:
                 before, spread = act[:, :, r, e], np.arange(cfg.cols) >= c[:, None]
-                delta = (read(before, ids) - before)[..., None] * spread * pe[..., r, e, :]
+                delta = (read(spec, before, ids) - before)[..., None] * spread * pe[..., r, e, :]
                 c = slice(None)  # every column, the ones west of the fault adding 0
                 if ids[-1] - ids[0] == len(ids) - 1:  # a class-ordered table: whole rows
                     ids = slice(ids[0], ids[-1] + 1)  # update faster by slice
             elif cls is RegClass.OUTPUT:  # the row prefix sums P[r]
                 before = psum[..., None] + np.cumsum(products, axis=2)[:, :, r, c]
                 before = wrap_signed(before, cfg.acc_width)
-                delta = read(before, ids) - before
+                delta = read(spec, before, ids) - before
             else:
                 weight, chosen = values[:, r, c, e], sel[..., r, c, e]
                 if cls is RegClass.WEIGHT:
-                    delta = (read(weight, ids) - weight) * picked(r, chosen)
+                    delta = (read(spec, weight, ids) - weight) * picked(r, chosen)
                 else:
-                    after = np.where(forced[:, None, None], chosen, read(chosen, ids))
+                    after = np.where(forced[:, None, None], chosen, read(spec, chosen, ids))
                     delta = weight * (picked(r, after) - picked(r, chosen))
             sums[:, :, ids, c] += delta
         return clean, wrap_signed(sums, cfg.acc_width)

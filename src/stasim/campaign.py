@@ -56,7 +56,7 @@ def enumerate_faults(config: ArrayConfig) -> list[FaultSite]:
     return [
         FaultSite(cls, row, col, element, bit, stuck)
         for cls, spec in config.reg_specs.items()
-        for row, col, element, bit, stuck in np.ndindex(*spec.shape, spec.width, 2)
+        for row, col, element, bit, stuck in np.ndindex(*spec.limits)
     ]
 
 

@@ -23,7 +23,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from stasim.arith import mask_of, wrap_signed
-from stasim.array import CLASS_CODE, ArrayConfig, RegClass, TensorArray
+from stasim.array import CLASS_CODE, ArrayConfig, RegClass, TensorArray, stuck_words
 from stasim.sparsity import SparseWeightTile
 
 #: Column sums a healthy array produces after golden addition, per test.
@@ -362,17 +362,20 @@ def fault_sessions(
     stacked golden reference, (4, tiles, cols).  Returns (raw, compared),
     each (4, tiles, faults, cols): [:, t, f] is what a session on tile t
     reports with fault f alone injected, derived by
-    ``TensorArray.stream_faults``; no tile need be loaded.  An
-    edge-accumulator fault forces its column's raw sum before the golden is
-    added.  Nothing is classified.
+    ``TensorArray.stream_faults``, which checks the table; no tile need be
+    loaded.  An edge-accumulator fault forces its column's raw sum, through
+    ``stuck_words``, before the golden is added.  Nothing is classified.
     """
     _check_session(array, golden, tiles=len(values))
     cfg = array.config
     blocks, norths, flags = _session_stream(cfg.rows, cfg.m)
     per_tile = np.broadcast_to(blocks[:, None], (4, len(values)) + blocks.shape[1:])
     _, raw = array.stream_faults(values, indexes, sites, per_tile, norths, flags)
+    sites = np.asarray(sites, dtype=np.int64)  # checked by ``stream_faults``
     (edge,) = np.nonzero(sites[:, 0] == CLASS_CODE[RegClass.EDGE_ACCUMULATOR])
-    _, _, cols, _, and_bits, or_bits = sites[edge].T
+    _, _, cols, _, bit, stuck = sites[edge].T
+    spec = cfg.reg_specs[RegClass.EDGE_ACCUMULATOR]
+    and_bits, or_bits = stuck_words(spec.width, spec.signed, bit, stuck)
     read = raw.copy()
     read[:, :, edge, cols] = raw[:, :, edge, cols] & and_bits | or_bits
     return raw, wrap_signed(read + golden.per_test[:, :, None], cfg.acc_width)

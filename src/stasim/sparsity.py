@@ -194,18 +194,6 @@ def densify(tile: SparseWeightTile) -> np.ndarray:
     return out.reshape(r * tile.m, c)
 
 
-def validate_nm(dense_w, m: int, n: int) -> bool:
-    """True when every m-row block of every column has at most n non-zeros."""
-    w = np.asarray(dense_w)
-    if w.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got shape {w.shape}")
-    for start in range(0, w.shape[0], m):
-        chunk = w[start : start + m]
-        if np.any(np.count_nonzero(chunk, axis=0) > n):
-            return False
-    return True
-
-
 def read_matrix_csv(path) -> np.ndarray:
     """Load a row-major CSV of signed decimal integers."""
     rows: list[list[int]] = []

@@ -16,10 +16,11 @@ from stasim.array import (
     TensorArray,
     _element_weights,
     fault_sites,
+    stuck_words,
 )
 from stasim.campaign import enumerate_faults, random_tiles, run_campaign
 from stasim.driver import Layer, Workload, tiled_matmul
-from stasim.selftest import GoldenReference, compute_golden, fault_sessions
+from stasim.selftest import GoldenReference, compute_golden, fault_sessions, run_session
 from stasim.sparsity import SparseWeightTile, densify, pack_tile
 from test_stream import assert_same_registers
 
@@ -495,8 +496,9 @@ def test_edge_fault_applies_to_comparison():
 
 
 def test_foreign_fault_tables_are_located():
-    # A table built for a larger array names cells a 2x2 array lacks: each
-    # call rejects its first such row, naming the field, before any sum.
+    # A table built for another array names the same faults here, or names
+    # a cell, bit or polarity a 2x2 array lacks: each call rejects its first
+    # such row, naming the field, before any sum.
     cfg = ArrayConfig(rows=2, cols=2)
     tile = cfg.pack(np.random.default_rng(149).integers(-9, 10, cfg.tile_shape))
     stack = tile.values[None], tile.indexes[None]
@@ -518,6 +520,16 @@ def test_foreign_fault_tables_are_located():
             FaultSite(RegClass.WEIGHT, 0, 1, 3, 2, 1),
             "element 3 outside 0..1 for weight",
         ),
+        (
+            ArrayConfig(rows=2, cols=2, data_width=30, acc_width=62),
+            FaultSite(RegClass.OUTPUT, 1, 0, 0, 40, 1),
+            "bit 40 outside 0..31 for output",
+        ),
+        (
+            ArrayConfig(rows=2, cols=2, data_width=30, acc_width=62),
+            FaultSite(RegClass.WEIGHT, 0, 1, 1, 16, 0),
+            "bit 16 outside 0..15 for weight",
+        ),
     ]
     array = TensorArray(cfg)
     blocks = np.ones((2, 1, cfg.rows, cfg.m), dtype=np.int64)
@@ -529,15 +541,39 @@ def test_foreign_fault_tables_are_located():
         ):
             with pytest.raises(ValueError, match=f"^fault table row 1: {message}$"):
                 call()
-    unknown, negative = fault_sites(cfg, [ok, ok]), fault_sites(cfg, [ok, ok])
-    unknown[1, 0], negative[1, 2] = len(RegClass), -1
-    with pytest.raises(ValueError, match="^fault table row 1: class code 5 outside 0..4$"):
-        array.stream_faults(*stack, unknown, blocks)
-    with pytest.raises(ValueError, match="^fault table row 1: col -1 outside 0..1 for output$"):
-        array.stream_faults(*stack, negative, blocks)
+    unknown, negative, stuck = (fault_sites(cfg, [ok, ok]) for _ in range(3))
+    unknown[1, 0], negative[1, 2], stuck[1, 5] = len(RegClass), -1, 2
+    for table, message in (
+        (unknown, "class code 5 outside 0..4"),
+        (negative, "col -1 outside 0..1 for output"),
+        (stuck, "stuck 2 outside 0..1 for output"),
+    ):
+        for call in (
+            lambda: array.stream_faults(*stack, table, blocks),
+            lambda: fault_sessions(array, *stack, table, golden),
+        ):
+            with pytest.raises(ValueError, match=f"^fault table row 1: {message}$"):
+                call()
     for table in (unknown[:, :5], unknown.astype(float)):
         with pytest.raises(ValueError, match=r"fault table must be \(faults, 6\) integers"):
             array.stream_faults(*stack, table, blocks)
+
+    # Output (1, 0) bit 15 stuck at 1 from a 16-bit array's table: the
+    # table holds the fault, not that array's sign-extension words, so it
+    # gives the sums of ``inject`` plus ``stream`` and of ``run_session``.
+    narrow = fault_sites(ArrayConfig(rows=2, cols=2, acc_width=16), [ok])
+    assert np.array_equal(narrow, fault_sites(cfg, [ok]))
+    rows = np.random.default_rng(151).integers(-(1 << 15), 1 << 15, (3, 1, cfg.rows, cfg.m))
+    single = TensorArray(cfg)
+    single.inject(ok)
+    single.load_weights(tile)
+    want, _ = single.stream(rows[:, 0])
+    report = run_session(single, compute_golden(tile, cfg))
+    _, sums = array.stream_faults(*stack, narrow, rows)
+    raw, compared = fault_sessions(array, *stack, narrow, golden)
+    assert np.array_equal(sums[:, 0, 0], want)
+    assert np.array_equal(raw[:, 0, 0], report.raw)
+    assert np.array_equal(compared[:, 0, 0], report.compared)
 
 
 def test_multiple_faults_compose():
@@ -663,6 +699,40 @@ def test_masked_reads_match_scalar_forcing(cfg):
     assert seen_sign == {0, 1}
 
 
+def test_stuck_words_match_scalar_forcing():
+    """A read through ``stuck_words``'s words is ``force_bit``'s word, for every
+    class, bit and polarity: signed words at their extremes and sign bits,
+    every unsigned index pattern; the int and the array forms agree."""
+    cfg = ArrayConfig(rows=1, cols=1, m=5, n=2, data_width=30, acc_width=62)
+    rng = np.random.default_rng(151)
+    assert cfg.index_width == 3  # patterns 5..7 point past the block
+    for cls, spec in cfg.reg_specs.items():
+        if spec.signed:
+            half = 1 << (spec.width - 1)
+            values = [-half, -half + 1, -1, 0, 1, half - 1]
+            values += rng.integers(-half, half, 16).tolist()
+        else:
+            values = list(range(1 << spec.width))
+        bits, stucks = (grid.ravel() for grid in np.indices((spec.width, 2)))
+        words = zip(*stuck_words(spec.width, spec.signed, bits, stucks))
+        for bit, stuck, (and_word, or_word) in zip(bits.tolist(), stucks.tolist(), words):
+            assert stuck_words(spec.width, spec.signed, bit, stuck) == (and_word, or_word)
+            read = (np.array(values) & and_word) | or_word
+            for value, got in zip(values, read.tolist()):
+                word = force_bit(Word.from_signed(value, spec.width), bit, stuck)
+                assert got == (word.signed if spec.signed else word.bits), (cls, value, bit, stuck)
+
+
+def test_inject_takes_numpy_bits_of_any_dtype():
+    """A NumPy bit of a narrow dtype forces the same bit as the int does."""
+    cfg = ArrayConfig(rows=1, cols=1)
+    # The stored weights are 0: a stuck-1 sign bit reads -2**15.
+    for bit, stuck, read in ((15, 1, -(1 << 15)), (15, 0, 0), (7, 1, 1 << 7)):
+        array = TensorArray(cfg)
+        array.inject(FaultSite(RegClass.WEIGHT, 0, 0, 0, np.uint8(bit), np.uint8(stuck)))
+        assert array.registers()[RegClass.WEIGHT][0, 0].tolist() == [read, 0]
+
+
 def scattered_element_weights(weights, sel, m):
     """Reference per-element weights: each slot's weight added onto the
     element it selects, one ``np.add.at`` per slot; past the block, none."""
@@ -702,7 +772,8 @@ def test_element_weights_match_a_per_slot_scatter(m, data, lead, shared_sel, see
         rng.integers(-half, half, shape),
     )
     # A stuck sign bit sign-extends the read weight.
-    and_bits, or_bits = FaultSite(RegClass.WEIGHT, 0, 0, 0, 29, 1).mask_bits(cfg)
+    spec = cfg.reg_specs[RegClass.WEIGHT]
+    and_bits, or_bits = stuck_words(spec.width, spec.signed, spec.width - 1, 1)
     weights = np.where(rng.random(shape) < 0.25, (weights & and_bits) | or_bits, weights)
     sel_shape = shape[1:] if shared_sel else shape
     sel = rng.integers(0, 1 << cfg.index_width, sel_shape)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import stasim.array
 import stasim.campaign as campaign
-from stasim.array import ArrayConfig, FaultSite, RegClass, TensorArray, fault_sites
+from stasim.array import CLASS_CODE, ArrayConfig, FaultSite, RegClass, TensorArray, fault_sites
 from stasim.campaign import enumerate_faults, random_tiles, run_campaign
 from stasim.sparsity import densify, pack_tile
 from test_lanes import mixed_faults, tile_of_magnitude
@@ -59,6 +59,28 @@ def test_enumeration_count_single_tpe():
     faults = enumerate_faults(ArrayConfig(rows=1, cols=1))
     assert len(faults) == (64 + 32 + 4 + 32 + 32) * 2
     assert len(faults) == 328
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        ArrayConfig(rows=1, cols=1, m=1, n=1),
+        ArrayConfig(rows=2, cols=3, mode="1:4"),
+        ArrayConfig(rows=2, cols=2, m=8, n=3),
+        ArrayConfig(rows=2, cols=1, data_width=30, acc_width=62),
+    ],
+    ids=["1x1-m1", "mode-1:4", "m8", "acc62"],
+)
+def test_universe_table_follows_enumeration_order(config):
+    # ``fault_sites(config)`` builds the universe without ``FaultSite``
+    # objects and ``enumerate_faults`` with its own loop: row f is fault f.
+    universe = enumerate_faults(config)
+    table = fault_sites(config)
+    assert table.dtype == np.int64
+    assert np.array_equal(table, fault_sites(config, universe))
+    assert table.tolist() == [
+        [CLASS_CODE[f.reg_class], f.row, f.col, f.element, f.bit, f.stuck] for f in universe
+    ]
 
 
 def test_enumeration_is_duplicate_free_and_valid():

@@ -8,6 +8,7 @@ with the scalar classifier copies of ``test_classify``, and check an
 undetected fault's harmlessness with ``run_compute``.
 """
 
+import re
 from unittest.mock import patch
 
 import numpy as np
@@ -181,6 +182,59 @@ def test_stream_faults_match_one_fault_at_a_time(cfg, fault_set, tiles, x_rows, 
         array.stream_faults(values, indexes, sites, blocks, north, test4_mask)
     with pytest.raises(ValueError, match="without injected faults"):
         fault_sessions(array, values, indexes, sites, golden)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(built_on=configs(), run_on=configs(), seed=st.integers(0, 2**32 - 1))
+def test_foreign_tables_name_the_same_faults(built_on, run_on, seed):
+    """A table built on one array means the same faults on another, or fails.
+
+    Faults whose fields fit both arrays, each class's top common bit (a sign
+    bit of one of them) included, give on ``run_on`` the sums of ``inject``
+    plus ``stream`` and of ``run_session``, edge faults through
+    ``fault_sessions``.  A fault only ``built_on`` has fails with the
+    ``ValueError`` that names its row and ``FaultSite.validate``'s field.
+    """
+    rng = np.random.default_rng(seed)
+    faults = []
+    for cls in RegClass:
+        a, b = built_on.reg_specs[cls], run_on.reg_specs[cls]
+        width = min(a.width, b.width)
+        row, col, element = (int(rng.integers(0, min(pair))) for pair in zip(a.shape, b.shape))
+        for bit in {width - 1, int(rng.integers(0, width))}:
+            faults += [FaultSite(cls, row, col, element, bit, stuck) for stuck in (0, 1)]
+    sites = fault_sites(built_on, faults)
+
+    tiles = [tile_of_magnitude(rng, run_on, 1 << 30) for _ in range(2)]
+    values = np.stack([tile.values for tile in tiles])
+    indexes = np.stack([tile.indexes for tile in tiles])
+    goldens = [compute_golden(tile, run_on) for tile in tiles]
+    golden = GoldenReference(np.stack([g.per_test for g in goldens], axis=1), run_on)
+    d_hi = 1 << (run_on.data_width - 1)
+    blocks = rng.integers(-d_hi, d_hi, size=(3, len(tiles), run_on.rows, run_on.m))
+    array, single = TensorArray(run_on), TensorArray(run_on)
+    _, sums = array.stream_faults(values, indexes, sites, blocks)
+    raw, compared = fault_sessions(array, values, indexes, sites, golden)
+    for f, fault in enumerate(faults):
+        single.clear_faults()
+        single.inject(fault)
+        for t, tile in enumerate(tiles):
+            single.load_weights(tile)
+            assert np.array_equal(sums[:, t, f], single.stream(blocks[:, t])[0]), (t, fault)
+            report = run_session(single, goldens[t])
+            assert np.array_equal(raw[:, t, f], report.raw), (t, fault)
+            assert np.array_equal(compared[:, t, f], report.compared), (t, fault)
+
+    for fault in mixed_faults(rng, built_on, 6):
+        try:
+            fault.validate(run_on)
+        except ValueError as err:
+            table = fault_sites(built_on, [faults[0], fault])
+            message = re.escape(f"fault table row 1: {err}")
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                array.stream_faults(values, indexes, table, blocks)
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                fault_sessions(array, values, indexes, table, golden)
 
 
 def assert_matches_per_fault_loop(cfg, tiles, faults, budget, **kwargs):
