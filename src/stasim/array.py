@@ -44,10 +44,10 @@ import numpy as np
 from stasim.arith import check_signed_range, wrap_signed
 from stasim.sparsity import SparseWeightTile, check_entries, pack_tile
 
-#: Elements a temporary may hold: tiles x waves x rows x cols x m in a pass of
-#: the wave engine, waves x tiles x faults x cols in a ``stream_faults`` call.
-#: ``per_pass`` and ``per_step`` size the passes and calls by it, which bounds
-#: memory whatever the array size, fault count or layer size.
+#: Elements a temporary may hold: the largest one a pass of the wave engine
+#: builds for its tiles, waves x tiles x faults x cols in a ``stream_faults``
+#: call.  ``per_pass`` and ``per_step`` size the passes and calls by it, which
+#: bounds memory whatever the array size, fault count or layer size.
 ELEMENT_BUDGET = 1 << 15
 
 
@@ -162,12 +162,24 @@ class ArrayConfig:
             RegClass.EDGE_ACCUMULATOR: RegSpec((1, c, 1), self.acc_width, True),
         }
 
-    def per_pass(self, waves: int) -> int:
-        """Stacked tiles a pass of ``waves`` waves of the wave engine may carry.
+    def per_pass(self, waves: int, masked=()) -> int:
+        """Stacked tiles a pass of ``waves`` waves may carry, ``masked`` classes faulted.
 
-        At least one, whatever ``ELEMENT_BUDGET`` allows.
+        A tile costs the pass its largest temporary: the one-hot selections,
+        rows x cols x n x m, or per wave the blocks every column reads under
+        an activation fault (rows x cols x m), else the per-row sums an
+        output fault cascades (rows x cols) or the west blocks and column
+        sums (rows x m, cols).  At least one, whatever ``ELEMENT_BUDGET``
+        allows.
         """
-        return max(1, ELEMENT_BUDGET // (max(waves, 1) * self.rows * self.cols * self.m))
+        r, c, m = self.rows, self.cols, self.m
+        if RegClass.ACTIVATION in masked:
+            per_wave = r * c * m
+        elif RegClass.OUTPUT in masked:
+            per_wave = r * max(c, m)
+        else:
+            per_wave = max(r * m, c)
+        return max(1, ELEMENT_BUDGET // max(r * c * self.n * m, waves * per_wave))
 
     def per_step(self, waves: int) -> int:
         """(fault, tile) pairs a ``stream_faults`` call over ``waves`` waves may carry.
@@ -411,7 +423,9 @@ class TensorArray:
 
     # -- datapath ----------------------------------------------------------
 
-    def _multiply(self, masks, regs, act: np.ndarray, test4_mask, alike=False) -> np.ndarray:
+    def _multiply(
+        self, masks, regs, act: np.ndarray, test4_mask, alike=False, fold=False
+    ) -> np.ndarray:
         """Multiply phase on read activation blocks ``act`` (..., rows, cols, m).
 
         ``regs`` is a (weights, indexes) pair of register files, (rows, cols,
@@ -419,45 +433,49 @@ class TensorArray:
         active slot multiplies its weight by the element its index register
         (or the test-4 forced pattern) selects; an index past the block
         selects nothing.  ``test4_mask`` is one flag or one per wave, since
-        waves never interact.  Returns the per-TPE sums.
+        waves never interact: the stored selection serves every wave, then
+        the forced one recomputes the flagged waves alone.  Returns the
+        per-TPE sums, (..., rows, cols), or with ``fold`` their sums over
+        rows, (..., cols).
 
         With ``alike``, ``act`` is (waves, ..., rows, m): every column of a
-        row reads the same block, so each selection's blocks, as (..., rows,
-        waves, m), meet its per-element weights, as (..., rows, m, cols), in
-        one integer ``np.matmul``.  ``step`` and passes with activation
-        faults take the ``einsum`` form, which keeps the stepper a reference
-        independent of the matmul one.
+        row reads the same block, so one integer ``np.matmul`` per selection
+        contracts each wave's blocks, as rows*m elements (m per row without
+        ``fold``), with its tile's per-element weights, as (rows*m, cols)
+        (per row (m, cols)): per tile, a (waves, rows*m) @ (rows*m, cols)
+        product.  ``step``
+        and passes with activation faults take the ``einsum`` form, which
+        keeps the stepper a reference independent of the matmul one.
         """
         cfg = self.config
         k = cfg.active_slots
         weight_file, index_file = regs
         weights = _masked(masks, RegClass.WEIGHT, weight_file)[..., :k]
         stored = _masked(masks, RegClass.WEIGHT_INDEX, index_file)
+        # Rows one matmul contracts together: all of them, or one each.
+        groups = 1 if fold else cfg.rows
+        depth = cfg.rows * cfg.m // groups
 
-        def element_weights(sel):
-            return _element_weights(weights, sel[..., :k], cfg.m)
+        def contract(sel, waves=...):  # integer matmul and einsum wrap alike
+            per_element = _element_weights(weights, sel[..., :k], cfg.m)
+            blocks = act[waves]
+            if not alike:  # the einsum builds no product temporary
+                subscripts = "...rcm,...rcm->...c" if fold else "...m,...m->..."
+                return np.einsum(subscripts, blocks, per_element)
+            blocks = blocks.reshape(blocks.shape[:-2] + (groups, 1, depth))
+            per_element = per_element.swapaxes(-1, -2).reshape(
+                per_element.shape[:-3] + (groups, depth, cfg.cols)
+            )
+            out = np.matmul(blocks, per_element)[..., 0, :]
+            return out[..., 0, :] if fold else out
 
         flags = np.asarray(test4_mask)
-        if alike:
-            # Integer matmul wraps like einsum.  Per-wave flags that differ
-            # pick per wave between the two selections' products.
-            blocks = np.moveaxis(act, 0, -2)
-
-            def contract(sel):
-                return np.matmul(blocks, element_weights(sel).swapaxes(-1, -2))
-
-            if flags.all() or not flags.any():
-                out = contract(self._forced_sel if flags.all() else stored)
-            else:
-                out = np.where(flags[:, None], contract(self._forced_sel), contract(stored))
-            return np.moveaxis(out, -2, 0)
-        per_element = element_weights(self._forced_sel if flags.all() else stored)
-        if flags.any() and not flags.all():  # per-wave flags that differ
-            per_wave = flags.reshape(flags.shape + (1,) * (act.ndim - 1))
-            per_element = np.where(per_wave, element_weights(self._forced_sel), per_element)
-        # Integer einsum wraps like ``(act * per_element).sum(-1)`` but
-        # builds no product temporary.
-        return np.einsum("...m,...m->...", act, per_element)
+        if flags.all():
+            return contract(self._forced_sel)
+        out = contract(stored)
+        if flags.any():  # per-wave flags that differ
+            out[flags] = contract(self._forced_sel, flags)
+        return out
 
     def step(self, west_inputs=None, north_sums=None, test4_mask: bool = False):
         """Advance one clock cycle; returns the previous cycle's south outputs.
@@ -557,10 +575,11 @@ class TensorArray:
         The column and row loops run only for a masked class.  Without an
         activation mask every column reads the west block, which
         ``_multiply`` contracts by matmul; without an output mask the
-        cascade adds modulo 2**acc_width, so it is one sum over rows and
-        one wrap.
+        cascade adds modulo 2**acc_width, so ``_multiply`` folds the sum
+        over rows into its contraction and one wrap ends the pass.
         """
         cfg = self.config
+        fold = RegClass.OUTPUT not in masks
         if RegClass.ACTIVATION in masks:
             for j in range(cfg.cols):
                 # The hop east reads this column's register, stuck bits included.
@@ -568,11 +587,11 @@ class TensorArray:
                 if j == 0:  # the first read fixes the tile axis
                     seen = np.empty(act.shape[:-1] + (cfg.cols, cfg.m), dtype=np.int64)
                 seen[..., j, :] = act
-            contrib = self._multiply(masks, regs, seen, test4_mask)
+            contrib = self._multiply(masks, regs, seen, test4_mask, fold=fold)
         else:
-            contrib = self._multiply(masks, regs, act, test4_mask, alike=True)
-        if RegClass.OUTPUT not in masks:
-            return wrap_signed(psum + contrib.sum(axis=-2), cfg.acc_width)
+            contrib = self._multiply(masks, regs, act, test4_mask, alike=True, fold=fold)
+        if fold:
+            return wrap_signed(psum + contrib, cfg.acc_width)
 
         # Partial sums cascade south; the row below reads each row's output
         # register, stuck bits included.

@@ -6,9 +6,10 @@ optionally self-tested with one session, then streamed with the activation
 rows; the cycle accounting charges exactly that per tile.  The host runs a
 layer's tiles as a stack: the layer is packed once, and each chunk of tiles
 shares one pass of the wave engine, the stacked tiles standing in for the
-loaded registers.  ``ArrayConfig.per_pass`` sizes the chunks for the pass's
-waves: the layer's sessions (four waves) share as many passes as that
-allows, and so do its compute streams (X waves); reports keep tile order.
+loaded registers.  A tile's session rides in front of its compute waves, as
+on the array, so a chunk takes one pass of 4 + X waves, and
+``ArrayConfig.per_pass`` sizes the chunks for those waves and the injected
+fault classes.  The layer's session sums are judged at once, in tile order.
 Partial products of the K-direction tiles are accumulated host-side at the
 accumulator width; every value-0 pad is mathematically inert, so padded and
 unpadded runs agree bit for bit on the real region.
@@ -22,7 +23,7 @@ import numpy as np
 
 from stasim.arith import check_signed_range, wrap_signed
 from stasim.array import ArrayConfig, FaultSite, TensorArray
-from stasim.selftest import TestReport, stacked_sessions
+from stasim.selftest import TestReport, session_reports, session_stream
 
 
 @dataclass
@@ -118,21 +119,31 @@ def tiled_matmul(
                 .reshape(tiles, r, cols, config.n)
                 for part in (packed.values, packed.indexes)
             )
-            blocks = a_pad.reshape(x_rows, k_tiles, r, config.m)
+            a_blocks = a_pad.reshape(x_rows, k_tiles, r, config.m)
 
-            def chunks(waves):  # tile slices, as many as a pass of ``waves`` carries
-                step = config.per_pass(waves)
-                for start in range(0, tiles, step):
-                    chunk = np.s_[start : start + step]
-                    yield chunk, *np.divmod(np.arange(tiles)[chunk], c_tiles)
-
-            if testing:  # a session is four waves
-                for chunk, ki, ci in chunks(4):
-                    ids = [f"layer{li}/k{k}/c{c}" for k, c in zip(ki.tolist(), ci.tolist())]
-                    reports += stacked_sessions(array, values[chunk], indexes[chunk], ids)
-            for chunk, ki, ci in chunks(x_rows):
-                out = array.stream_tiles(values[chunk], indexes[chunk], blocks[:, ki])
-                np.add.at(acc, (slice(None), ci), out)
+            # A tile's session rides in front of its compute waves: one pass
+            # per chunk of as many tiles as the pass's waves allow.
+            head = 4 if testing else 0
+            step = config.per_pass(head + x_rows, {f.reg_class for f in faults})
+            blocks = np.empty((head + x_rows, min(step, tiles), r, config.m), dtype=np.int64)
+            norths = np.zeros(head + x_rows, dtype=np.int64)
+            flags = np.zeros(head + x_rows, dtype=bool)
+            if testing:
+                session_blocks, norths[:head], flags[:head] = session_stream(r, config.m)
+                blocks[:head] = session_blocks[:, None]
+            raw = np.empty((head, tiles, cols), dtype=np.int64)
+            for start in range(0, tiles, step):
+                chunk = np.s_[start : start + step]
+                ki, ci = np.divmod(np.arange(tiles)[chunk], c_tiles)
+                blocks[head:, : len(ki)] = a_blocks[:, ki]
+                out = array.stream_tiles(
+                    values[chunk], indexes[chunk], blocks[:, : len(ki)], norths, flags
+                )
+                raw[:, chunk] = out[:head]
+                np.add.at(acc, (slice(None), ci), out[head:])
+            if testing:
+                ids = [f"layer{li}/k{k}/c{c}" for k, c in np.ndindex(k_tiles, c_tiles)]
+                reports += session_reports(array, values, indexes, raw, ids)
         stats.load_cycles += tiles * r
         stats.test_cycles += tiles * 4 if testing else 0
         stats.compute_cycles += tiles * (x_rows + r + cols - 1)

@@ -248,10 +248,12 @@ class TestReport:
 
 
 @lru_cache(maxsize=16)
-def _session_stream(rows: int, m: int) -> tuple[np.ndarray, ...]:
+def session_stream(rows: int, m: int) -> tuple[np.ndarray, ...]:
     """The four tests as one read-only (blocks, north values, test-4 flags) stream.
 
-    Waves never interact, so test 4's selection override is a per-wave flag.
+    ``blocks`` is (4, rows, m).  Waves never interact, so test 4's selection
+    override is a per-wave flag, and the four waves can ride in front of
+    others in one pass, as the tiled driver runs them.
     """
     blocks = np.stack([np.tile(v, (rows, 1)) for v in session_vectors(m)])
     stream = (blocks, np.array(EXPECTED_COMPARED, dtype=np.int64), np.arange(4) == 3)
@@ -331,9 +333,20 @@ def run_session(
     """
     _check_session(array, golden)
     cfg = array.config
-    raw, _ = array.stream(*_session_stream(cfg.rows, cfg.m))
+    raw, _ = array.stream(*session_stream(cfg.rows, cfg.m))
     compared = array.edge_compare(raw, golden.per_test)
     return _reports(raw[:, None], compared[:, None], golden, [tile_id])[0]
+
+
+def session_reports(array: TensorArray, values, indexes, raw, tile_ids) -> list[TestReport]:
+    """Reports of sessions' raw sums (4, tiles, cols) on a stack of packed tiles.
+
+    ``values`` and ``indexes`` are the (tiles, rows, cols, n) stack that
+    produced ``raw``; one golden computation, one ``edge_compare`` and one
+    ``classify`` serve every tile, report t named ``tile_ids[t]``.
+    """
+    golden = _golden(values, indexes, array.config)
+    return _reports(raw, array.edge_compare(raw, golden.per_test), golden, tile_ids)
 
 
 def stacked_sessions(array: TensorArray, values, indexes, tile_ids) -> list[TestReport]:
@@ -342,14 +355,15 @@ def stacked_sessions(array: TensorArray, values, indexes, tile_ids) -> list[Test
     ``values`` and ``indexes`` are (tiles, rows, cols, n) stacks of packed
     tiles, as ``TensorArray.stream_tiles`` takes them.  Report t, named
     ``tile_ids[t]``, is what ``run_session`` reports with tile t loaded into
-    ``array`` and the golden computed from it; no tile need be loaded.
+    ``array`` and the golden computed from it; no tile need be loaded.  The
+    tiled driver runs the same ``session_stream`` in front of its compute
+    waves and judges the sums by the same ``session_reports``.
     """
     cfg = array.config
-    blocks, norths, flags = _session_stream(cfg.rows, cfg.m)
+    blocks, norths, flags = session_stream(cfg.rows, cfg.m)
     per_tile = np.broadcast_to(blocks[:, None], (4, len(values)) + blocks.shape[1:])
     raw = array.stream_tiles(values, indexes, per_tile, norths, flags)
-    golden = _golden(values, indexes, cfg)
-    return _reports(raw, array.edge_compare(raw, golden.per_test), golden, tile_ids)
+    return session_reports(array, values, indexes, raw, tile_ids)
 
 
 def fault_sessions(
@@ -368,7 +382,7 @@ def fault_sessions(
     """
     _check_session(array, golden, tiles=len(values))
     cfg = array.config
-    blocks, norths, flags = _session_stream(cfg.rows, cfg.m)
+    blocks, norths, flags = session_stream(cfg.rows, cfg.m)
     per_tile = np.broadcast_to(blocks[:, None], (4, len(values)) + blocks.shape[1:])
     _, raw = array.stream_faults(values, indexes, sites, per_tile, norths, flags)
     sites = np.asarray(sites, dtype=np.int64)  # checked by ``stream_faults``

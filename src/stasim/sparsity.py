@@ -170,15 +170,23 @@ def pack_tile(
     if rows % m != 0:
         raise ValueError(f"{rows} weight rows not divisible by block size {m}")
     check_signed_range("weight", w, data_width)
-    w = w.astype(np.int64)
-    blocks = w.reshape(rows // m, m, cols).transpose(0, 2, 1)
-    # A stable sort on descending magnitude ranks ties by position.
-    kept = np.sort(np.argsort(-np.abs(blocks), axis=-1, kind="stable")[..., :n], axis=-1)
-    values = np.take_along_axis(blocks, kept, axis=-1)
-    # Move dropped zeros behind the survivors, keeping position order.
-    order = np.argsort(values == 0, axis=-1, kind="stable")
-    values = np.take_along_axis(values, order, axis=-1)
-    indexes = np.where(values != 0, np.take_along_axis(kept, order, axis=-1), 0)
+    # Blocks as (m, blocks), positions first, so that every step below runs
+    # along the long axis of blocks; counts up to m fit ``count``.
+    blocks = w.astype(np.int64).reshape(rows // m, m, cols).swapaxes(0, 1).reshape(m, -1)
+    count = np.min_scalar_type(m)
+    # Keys unique within a block, larger first: magnitude, then lower position.
+    key = np.abs(blocks) * m - np.arange(m)[:, None]
+    # A non-zero weight survives when fewer than n keys of its block beat it.
+    beaten = (key > key[:, None]).view(np.uint8).sum(axis=1, dtype=count)
+    kept = (beaten < n) & (blocks != 0)
+    # Slot s holds the survivor with s + 1 survivors up to its position.
+    upto = np.cumsum(kept.view(np.uint8), axis=0, dtype=count)
+    slot = (upto == np.arange(1, n + 1, dtype=count)[:, None, None]) & kept
+    values = np.einsum("smb,mb->sb", slot, blocks)
+    indexes = np.einsum("smb,m->sb", slot, np.arange(m))
+    values, indexes = (
+        part.reshape(n, rows // m, cols).transpose(1, 2, 0) for part in (values, indexes)
+    )
     return SparseWeightTile(values, indexes, m=m, n=n, data_width=data_width)
 
 

@@ -311,7 +311,17 @@ def test_stacked_layers_match_per_tile_driver(
         if where not in bits:
             bits.add(where)
             faults.append(fault)
-    budget = tiles_per_pass * 5 * cfg.rows * cfg.cols * cfg.m
+    # A tile costs a pass its largest temporary (``ArrayConfig.per_pass``);
+    # priced at the longest pass, a session and five rows, layers split
+    # into chunks of ``tiles_per_pass`` tiles, or of a few more.
+    r, c, m = cfg.rows, cfg.cols, cfg.m
+    if RegClass.ACTIVATION in fault_classes:
+        per_wave = r * c * m
+    elif RegClass.OUTPUT in fault_classes:
+        per_wave = r * max(c, m)
+    else:
+        per_wave = max(r * m, c)
+    budget = tiles_per_pass * max(r * c * cfg.n * m, (4 * testing + 5) * per_wave)
     with patch.object(stasim.array, "ELEMENT_BUDGET", budget):
         results, stats, reports = tiled_matmul(workload, cfg, testing, tuple(faults))
     want_results, want_stats, want_reports = per_tile_matmul(workload, cfg, testing, faults)
@@ -326,23 +336,33 @@ def test_stacked_layers_match_per_tile_driver(
 @pytest.mark.parametrize(
     "shape, testing, passes",
     [
-        # 8 tiles of 256-row streams: one session pass, 8 compute passes.
-        ((256, 64, 32), True, 1 + 8),
-        ((256, 64, 32), False, 8),
-        # 128 tiles of 8-row streams: 4 session passes of 32 tiles, 8
-        # compute passes of 16.
-        ((8, 256, 128), True, 4 + 8),
+        # 8 tiles of 256-row streams.  A tile costs a pass its west blocks,
+        # (4 + 256) x rows x m with testing, so passes carry 3 tiles; 4
+        # without.
+        ((256, 64, 32), True, 3),
+        ((256, 64, 32), False, 2),
+        # 128 tiles of 8-row streams: a tile costs its one-hot selections,
+        # rows x cols x n x m, so passes carry 64 tiles.
+        ((8, 256, 128), True, 2),
     ],
 )
 def test_passes_are_sized_by_their_own_waves(shape, testing, passes):
-    """Session and compute passes each carry as many tiles as their waves allow."""
+    """A chunk's sessions and compute share one pass, of as many tiles as
+    its waves allow, and each pass builds the per-element weights once per
+    selection: the stored ones, (tiles, rows, cols, k), and with testing the
+    test-4 pattern every tile shares, (rows, cols, k).  The counts pin the
+    implementation, not a correctness bound."""
     cfg = ArrayConfig()
     workload = synthetic_workload(np.random.default_rng(331), [shape])
     with patch.object(
         TensorArray, "stream_tiles", autospec=True, side_effect=TensorArray.stream_tiles
-    ) as stream_tiles:
+    ) as stream_tiles, patch.object(
+        stasim.array, "_element_weights", side_effect=stasim.array._element_weights
+    ) as element_weights:
         results, _, reports = tiled_matmul(workload, cfg, testing)
     assert stream_tiles.call_count == passes
+    selections = [call.args[1].ndim for call in element_weights.call_args_list]
+    assert selections == ([4, 3] if testing else [4]) * passes
     layer = workload.layers[0]
     assert np.array_equal(results[0], pruned_oracle(layer.a, layer.w, cfg))
     tiles = -(-shape[1] // cfg.block_rows) * -(-shape[2] // cfg.cols)

@@ -52,6 +52,12 @@ def test_prune_matches_oracle_randomized():
         block = [int(v) for v in rng.integers(-50, 51, size=m)]
         tile = pack_tile(np.array(block).reshape(m, 1), m, n)
         assert densify(tile)[:, 0].tolist() == prune_oracle(block, n)
+    # Blocks of more than 255 positions count past one byte.
+    for m in (256, 300):
+        block = [int(v) for v in rng.integers(-50, 51, size=m)]
+        for n in (1, 255, m):
+            tile = pack_tile(np.array(block).reshape(m, 1), m, n)
+            assert densify(tile)[:, 0].tolist() == prune_oracle(block, n)
 
 
 def test_prune_padding_and_ordering():

@@ -1,6 +1,7 @@
 """Property test: the wave-by-wave ``stream`` against the cycle-level stepper."""
 
 import copy
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -256,7 +257,9 @@ def stepped_per_wave(array, tile, blocks, norths, flags):
 @pytest.mark.parametrize("cfg", BRANCH_CONFIGS, ids=lambda c: f"{c.rows}x{c.cols}-{c.mode}")
 def test_mask_branches_match_stepper(cfg, classes):
     """Each combination of activation and output masks, through ``stream``,
-    ``stream_tiles`` and a session's per-wave flags, against the stepper."""
+    ``stream_tiles`` and a session's per-wave flags, against the stepper:
+    uniform and alternating flags, one flagged or one unflagged wave, and a
+    session's four waves in front of compute waves."""
     rng = np.random.default_rng(cfg.rows * 100 + cfg.cols * 10 + len(classes))
     array = TensorArray(cfg)
     for cls in classes:
@@ -270,27 +273,67 @@ def test_mask_branches_match_stepper(cfg, classes):
     norths = rng.integers(2 * a_lo, 2 * a_hi, size=x_rows)
     values = np.stack([tile.values for tile in tiles])
     indexes = np.stack([tile.indexes for tile in tiles])
-
-    for flags in (np.zeros(x_rows, bool), np.ones(x_rows, bool), np.arange(x_rows) % 2 == 1):
-        stacked = array.stream_tiles(values, indexes, blocks, norths, flags)
-        for t, tile in enumerate(tiles):
-            want = stepped_per_wave(array, tile, blocks[:, t], norths, flags)
-            array.load_weights(tile)
-            # A uniform flag also goes in as one flag.
-            one = flags[0] if flags.all() or not flags.any() else flags
-            got, _ = array.stream(blocks[:, t], norths, one)
-            assert np.array_equal(got, want), (flags, t)
-            assert np.array_equal(stacked[:, t], want), (flags, t)
-
-    # A session: tests 1-3 read the index registers, test 4 the override.
     session = (
         np.stack([np.tile(v, (cfg.rows, 1)) for v in session_vectors(cfg.m)]),
         np.array(EXPECTED_COMPARED, dtype=np.int64),
         np.arange(4) == 3,
     )
+
+    waves = np.arange(x_rows)
+    streams = [
+        (blocks, norths, flags)
+        for flags in (
+            np.zeros(x_rows, bool),
+            np.ones(x_rows, bool),
+            waves % 2 == 1,
+            waves == 2,  # one flagged wave among compute waves
+            waves != 2,  # one unflagged wave among flagged ones
+        )
+    ]
+    # A session's four waves in front of compute waves, as the driver runs them.
+    streams.append((
+        np.concatenate([np.broadcast_to(session[0][:, None], (4,) + blocks.shape[1:]), blocks]),
+        np.concatenate([session[1], norths]),
+        np.concatenate([session[2], np.zeros(x_rows, bool)]),
+    ))
+    for stream_blocks, stream_norths, flags in streams:
+        stacked = array.stream_tiles(values, indexes, stream_blocks, stream_norths, flags)
+        for t, tile in enumerate(tiles):
+            want = stepped_per_wave(array, tile, stream_blocks[:, t], stream_norths, flags)
+            array.load_weights(tile)
+            # A uniform flag also goes in as one flag.
+            one = flags[0] if flags.all() or not flags.any() else flags
+            got, _ = array.stream(stream_blocks[:, t], stream_norths, one)
+            assert np.array_equal(got, want), (flags, t)
+            assert np.array_equal(stacked[:, t], want), (flags, t)
+
+    # A session: tests 1-3 read the index registers, test 4 the override.
     reports = stacked_sessions(array, values, indexes, ["t0", "t1"])
     for t, tile in enumerate(tiles):
         want = stepped_per_wave(array, tile, *session)
         array.load_weights(tile)
         assert np.array_equal(run_session(array, compute_golden(tile, cfg)).raw, want), t
         assert np.array_equal(reports[t].raw, want), t
+
+
+def test_override_recomputes_only_its_flagged_waves():
+    """The stored selection contracts every wave and the test-4 override only
+    the flagged ones: a session's folded matmuls take 4 waves, then 1, and
+    with an output mask its per-row matmuls do the same.  This pins the
+    work, not the sums, which the stepper diffs above check."""
+    cfg = ArrayConfig()
+    tile = random_tile(np.random.default_rng(11), cfg)
+    golden = compute_golden(tile, cfg)
+    for cls, depth in ((RegClass.WEIGHT, cfg.rows * cfg.m), (RegClass.OUTPUT, cfg.m)):
+        array = TensorArray(cfg)
+        array.inject(FaultSite(cls, 1, 2, 0, 3, 1))
+        array.load_weights(tile)
+        with patch.object(np, "matmul", wraps=np.matmul) as matmul:
+            run_session(array, golden)
+        # A contraction meets the per-element weights as (depth, cols).
+        waves = [
+            call.args[0].shape[0]
+            for call in matmul.call_args_list
+            if call.args[1].shape[-2:] == (depth, cfg.cols)
+        ]
+        assert waves == [4, 1], cls
